@@ -135,6 +135,8 @@ def _load_seed(path: str) -> qaes.SeedSpec:
 
 
 def _cmd_encrypt(args: argparse.Namespace) -> int:
+    if args.preview and args.infile.startswith("bits:"):
+        raise ValueError("--preview needs an image input")
     seed = _load_seed(args.seed)
     image = None
     if args.infile.startswith("bits:"):
@@ -145,8 +147,6 @@ def _cmd_encrypt(args: argparse.Namespace) -> int:
     ct = qaes.encrypt(bits, seed)
     _write_atomic(args.output or "cipher.json", codec.cipher_to_json(ct).encode("ascii"))
     if args.preview:
-        if image is None:
-            raise ValueError("--preview needs an image input")
         span = image.width * image.height
         padded = ct.bits[:span].ljust(span, "0")
         preview = codec.bits_to_image(padded, image.width, image.height)

@@ -3,9 +3,11 @@
 The shared secret is a self-inverse 16-entry substitution table plus a
 list of classical reversible gates (X, CX, CCX, SWAP) acting on a 4-qubit
 register.  Encryption runs each chunk through SubBytes, then the gate
-list on a basis state via the simulator, then a position-dependent left
-rotation; decryption applies the exact inverses in reverse order.  There
-is no round key: whoever holds the seed can decrypt.
+list, then a position-dependent left rotation.  Each call runs the gates
+on the simulator once per 4-bit basis state, folds the three steps into
+a 4x16 table with one row per chunk position mod 4, and looks each chunk
+up in it; decryption uses the row-wise inverse table.  There is no round
+key: whoever holds the seed can decrypt.
 """
 
 from __future__ import annotations
@@ -15,11 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sim import (
+    GATE_ARITY,
     Circuit,
     GateOp,
     StateVector,
-    circuit_unitary,
-    inverse_circuit,
     probabilities,
     run_circuit,
 )
@@ -28,8 +29,6 @@ CHUNK_BITS = 4
 TABLE_SIZE = 1 << CHUNK_BITS
 
 CLASSICAL_GATE_KINDS = frozenset({"X", "CX", "CCX", "SWAP"})
-
-_GATE_ARITY = {"X": 1, "CX": 2, "CCX": 3, "SWAP": 2}
 
 
 @dataclass(frozen=True)
@@ -70,48 +69,48 @@ class MixPermutation:
 
     @classmethod
     def from_gates(cls, mix_gates: tuple[GateOp, ...]) -> "MixPermutation":
-        return cls(tuple(mix_chunk(v, mix_gates) for v in range(TABLE_SIZE)))
+        mapping = tuple(mix_chunk(v, mix_gates) for v in range(TABLE_SIZE))
+        if sorted(mapping) != list(range(TABLE_SIZE)):
+            raise ValueError("derived mix action is not a permutation")
+        return cls(mapping)
 
 
-def validate_seed(seed: SeedSpec) -> list[str]:
-    """Check every seed invariant; returns a list of violations (empty = ok)."""
+def _mix_gate_violations(mix_gates: tuple[GateOp, ...]) -> list[str]:
+    violations: list[str] = []
+    bad_kinds = sorted({g.kind for g in mix_gates} - CLASSICAL_GATE_KINDS)
+    if bad_kinds:
+        violations.append(f"non-classical mix gate kinds: {bad_kinds}")
+    if any(max(g.qubits) >= CHUNK_BITS for g in mix_gates):
+        violations.append("mix gate qubit index out of range for 4 qubits")
+    return violations
+
+
+def _structural_violations(seed: SeedSpec) -> list[str]:
+    """Seed invariants that need no simulator: table shape and gate set."""
     violations: list[str] = []
     table = seed.sub_table
     if len(table) != TABLE_SIZE or sorted(table) != list(range(TABLE_SIZE)):
         violations.append("sub_table is not a permutation of 0..15")
-    else:
-        if any(table[table[i]] != i for i in range(TABLE_SIZE)):
-            violations.append("sub_table is not self-inverse")
-    bad_kinds = [g.kind for g in seed.mix_gates if g.kind not in CLASSICAL_GATE_KINDS]
-    if bad_kinds:
-        violations.append(f"non-classical mix gate kinds: {sorted(set(bad_kinds))}")
-    if any(max(g.qubits) >= CHUNK_BITS for g in seed.mix_gates):
-        violations.append("mix gate qubit index out of range for 4 qubits")
+    elif any(table[table[i]] != i for i in range(TABLE_SIZE)):
+        violations.append("sub_table is not self-inverse")
+    return violations + _mix_gate_violations(seed.mix_gates)
+
+
+def _require_structure(seed: SeedSpec) -> None:
+    violations = _structural_violations(seed)
+    if violations:
+        raise ValueError("invalid seed: " + "; ".join(violations))
+
+
+def validate_seed(seed: SeedSpec) -> list[str]:
+    """Check every seed invariant; returns a list of violations (empty = ok)."""
+    violations = _structural_violations(seed)
     if not violations:
-        u = circuit_unitary(Circuit(CHUNK_BITS, seed.mix_gates))
-        rounded = np.abs(u)
-        if not (np.all((rounded < 1e-12) | (np.abs(rounded - 1.0) < 1e-12))
-                and np.all(np.abs(rounded.sum(axis=0) - 1.0) < 1e-12)
-                and np.all(np.abs(rounded.sum(axis=1) - 1.0) < 1e-12)):
-            violations.append("mix gates do not form a permutation matrix")
-        else:
-            derived = MixPermutation.from_gates(seed.mix_gates)
-            if sorted(derived.map) != list(range(TABLE_SIZE)):
-                violations.append("derived mix action is not a permutation")
+        try:
+            MixPermutation.from_gates(seed.mix_gates)
+        except ValueError as exc:
+            violations.append(str(exc))
     return violations
-
-
-def _check_seed_basics(seed: SeedSpec) -> None:
-    table = seed.sub_table
-    if len(table) != TABLE_SIZE or sorted(table) != list(range(TABLE_SIZE)):
-        raise ValueError("invalid seed: sub_table is not a permutation of 0..15")
-    if any(table[table[i]] != i for i in range(TABLE_SIZE)):
-        raise ValueError("invalid seed: sub_table is not self-inverse")
-    for g in seed.mix_gates:
-        if g.kind not in CLASSICAL_GATE_KINDS:
-            raise ValueError(f"invalid seed: non-classical mix gate {g.kind}")
-        if max(g.qubits) >= CHUNK_BITS:
-            raise ValueError(f"invalid seed: mix gate {g.qubits} exceeds 4 qubits")
 
 
 def sub_bytes(nibble: int, table: tuple[int, ...]) -> int:
@@ -130,9 +129,9 @@ def mix_chunk(nibble: int, mix_gates: tuple[GateOp, ...]) -> int:
     """
     if not 0 <= nibble < TABLE_SIZE:
         raise ValueError(f"nibble out of range: {nibble}")
-    for g in mix_gates:
-        if g.kind not in CLASSICAL_GATE_KINDS:
-            raise ValueError(f"non-classical mix gate {g.kind}")
+    violations = _mix_gate_violations(mix_gates)
+    if violations:
+        raise ValueError("; ".join(violations))
     state = run_circuit(Circuit(CHUNK_BITS, mix_gates), nibble)
     p = probabilities(state)
     out = int(p.argmax())
@@ -163,38 +162,34 @@ def _pad_bits(bits: str) -> str:
     return bits + "0" * ((-len(bits)) % CHUNK_BITS)
 
 
+def _chunk_tables(seed: SeedSpec) -> list[list[int]]:
+    """T[r][v] = rotl4(mix[sub[v]], r); row r serves 1-based positions = r mod 4."""
+    _require_structure(seed)
+    mix = MixPermutation.from_gates(seed.mix_gates).map
+    return [[_rotl4(mix[seed.sub_table[v]], r) for v in range(TABLE_SIZE)]
+            for r in range(CHUNK_BITS)]
+
+
+def _look_up_chunks(bits: str, tables: list[list[int]]) -> str:
+    chunks = [int(bits[k:k + CHUNK_BITS], 2) for k in range(0, len(bits), CHUNK_BITS)]
+    return "".join(format(tables[pos % CHUNK_BITS][v], f"0{CHUNK_BITS}b")
+                   for pos, v in enumerate(chunks, start=1))
+
+
 def encrypt(bits: str, seed: SeedSpec) -> CipherText:
     """SubBytes, then the mixing gates, then the position rotation, per chunk.
 
     The plaintext is zero-padded on the right to a multiple of 4; chunk
     positions are 1-based, so the first chunk is rotated by one.
     """
-    _check_seed_basics(seed)
-    padded = _pad_bits(bits)
-    out = []
-    for pos in range(1, len(padded) // CHUNK_BITS + 1):
-        chunk = int(padded[(pos - 1) * CHUNK_BITS: pos * CHUNK_BITS], 2)
-        value = sub_bytes(chunk, seed.sub_table)
-        value = mix_chunk(value, seed.mix_gates)
-        value = shift_chunk(value, pos)
-        out.append(format(value, f"0{CHUNK_BITS}b"))
-    return CipherText("".join(out), len(bits))
+    tables = _chunk_tables(seed)
+    return CipherText(_look_up_chunks(_pad_bits(bits), tables), len(bits))
 
 
 def decrypt(ct: CipherText, seed: SeedSpec) -> str:
-    """Invert each encryption step in reverse order and strip the padding."""
-    _check_seed_basics(seed)
-    if len(ct.bits) % CHUNK_BITS != 0:
-        raise ValueError("cipher bit length is not a multiple of 4")
-    inverse_mix = inverse_circuit(Circuit(CHUNK_BITS, seed.mix_gates)).ops
-    out = []
-    for pos in range(1, len(ct.bits) // CHUNK_BITS + 1):
-        chunk = int(ct.bits[(pos - 1) * CHUNK_BITS: pos * CHUNK_BITS], 2)
-        value = _rotl4(chunk, (-pos) % CHUNK_BITS)
-        value = mix_chunk(value, inverse_mix)
-        value = sub_bytes(value, seed.sub_table)
-        out.append(format(value, f"0{CHUNK_BITS}b"))
-    return "".join(out)[: ct.orig_bit_len]
+    """Look each chunk up in the inverse table and strip the padding."""
+    inverse = [[row.index(c) for c in range(TABLE_SIZE)] for row in _chunk_tables(seed)]
+    return _look_up_chunks(ct.bits, inverse)[: ct.orig_bit_len]
 
 
 def _classical_gate(nibble: int, g: GateOp) -> int:
@@ -219,7 +214,7 @@ def _classical_gate(nibble: int, g: GateOp) -> int:
 
 def classical_oracle_encrypt(bits: str, seed: SeedSpec) -> str:
     """Bit-level reference encryption that never touches the simulator."""
-    _check_seed_basics(seed)
+    _require_structure(seed)
     padded = _pad_bits(bits)
     out = []
     for pos in range(1, len(padded) // CHUNK_BITS + 1):
@@ -255,7 +250,7 @@ def keygen(rng_seed: int, n_mix_gates: int = 12) -> SeedSpec:
         for _ in range(n_mix_gates):
             kind = kinds[int(rng.integers(0, len(kinds)))]
             qubits = tuple(
-                int(q) for q in rng.choice(CHUNK_BITS, size=_GATE_ARITY[kind],
+                int(q) for q in rng.choice(CHUNK_BITS, size=GATE_ARITY[kind],
                                            replace=False)
             )
             gates.append(GateOp(kind, qubits))

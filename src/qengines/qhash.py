@@ -53,6 +53,9 @@ class HashConfig:
             raise ValueError(f"unknown template {self.template!r}")
         if not 1 <= self.n_qubits <= 8:
             raise ValueError(f"n_qubits must be in [1, 8], got {self.n_qubits}")
+        for name in ("theta1", "phi1", "theta2", "phi2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.mode not in (MODE_EXACT, MODE_SAMPLED):
             raise ValueError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
         if self.mode == MODE_SAMPLED and self.shots < 1:

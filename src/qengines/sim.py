@@ -55,6 +55,8 @@ class GateOp:
         if self.kind == "RX":
             if self.angle is None:
                 raise ValueError("RX requires an angle")
+            if not math.isfinite(self.angle):
+                raise ValueError(f"RX angle must be finite, got {self.angle}")
         elif self.angle is not None:
             raise ValueError(f"{self.kind} takes no angle")
 

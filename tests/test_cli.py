@@ -70,6 +70,13 @@ def test_hash_bad_input_is_validation_error(capsys):
     assert main(["hash", "--input", "raw", "--template", "PQC4"]) == 3
 
 
+@pytest.mark.parametrize("angle", ["nan", "inf"])
+def test_hash_non_finite_angle_is_validation_error(angle, capsys):
+    assert main(["hash", "--input", "bits:1011", "--template", "PQC3",
+                 "--theta1", angle]) == 3
+    assert "theta1" in capsys.readouterr().err
+
+
 def test_hash_output_file(tmp_path, capsys):
     out_path = tmp_path / "hash.txt"
     main(["hash", "--input", "bits:11110000", "--template", "PQC4",
@@ -171,6 +178,16 @@ def test_encrypt_preview_is_scrambled(workspace):
     assert main(["encrypt", "--in", str(img_path), "--seed", str(seed_path),
                  "--output", str(cipher_path), "--preview", str(preview_path)]) == 0
     assert preview_path.read_bytes() != img_path.read_bytes()
+
+
+def test_encrypt_preview_of_bits_input_writes_nothing(workspace, capsys):
+    tmp_path, _, seed_path = workspace
+    cipher_path = tmp_path / "c.json"
+    preview_path = tmp_path / "p.pbm"
+    assert main(["encrypt", "--in", "bits:1011", "--seed", str(seed_path),
+                 "--output", str(cipher_path), "--preview", str(preview_path)]) == 3
+    assert not cipher_path.exists()
+    assert not preview_path.exists()
 
 
 def test_encrypt_bits_input(workspace, capsys):

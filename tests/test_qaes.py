@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qengines import (
     Circuit,
@@ -18,6 +20,7 @@ from qengines import (
     keygen,
     mix_chunk,
     probabilities,
+    qaes,
     run_circuit,
     shannon_entropy,
     shift_chunk,
@@ -170,6 +173,41 @@ def test_encrypt_rejects_bad_input():
         encrypt("1010", SeedSpec(1, (0,) * 16, ()))
 
 
+@pytest.mark.parametrize("seed", [
+    SeedSpec(1, (0,) * 16, ()),
+    SeedSpec(1, (1, 2, 0) + tuple(range(3, 16)), ()),
+    SeedSpec(1, IDENTITY_TABLE, (h(0),)),
+    SeedSpec(1, IDENTITY_TABLE, (GateOp("CX", (3, 5)),)),
+])
+def test_invalid_seed_rejected_by_every_cipher_entry(seed):
+    with pytest.raises(ValueError, match="invalid seed"):
+        encrypt("1010", seed)
+    with pytest.raises(ValueError, match="invalid seed"):
+        decrypt(CipherText("1010", 4), seed)
+    with pytest.raises(ValueError, match="invalid seed"):
+        classical_oracle_encrypt("1010", seed)
+
+
+@pytest.mark.parametrize("n_bits", [4, 4096])
+def test_cipher_simulates_each_basis_state_once_per_call(n_bits, monkeypatch):
+    seed = keygen(8)
+    calls = []
+    real_run_circuit = qaes.run_circuit
+
+    def counting_run_circuit(*args, **kwargs):
+        calls.append(args)
+        return real_run_circuit(*args, **kwargs)
+
+    monkeypatch.setattr(qaes, "run_circuit", counting_run_circuit)
+    rng = np.random.default_rng(n_bits)
+    bits = "".join(str(b) for b in rng.integers(0, 2, size=n_bits))
+    ct = encrypt(bits, seed)
+    assert len(calls) == 16
+    calls.clear()
+    assert decrypt(ct, seed) == bits
+    assert len(calls) == 16
+
+
 def test_decrypt_inverse_of_known_cipher():
     ct = CipherText("00111001", 8)
     assert decrypt(ct, IDENTITY_SEED) == "10010110"
@@ -229,10 +267,34 @@ def test_oracle_agrees_on_two_chunk_inputs():
 
 def test_oracle_agrees_on_image_bits():
     from qengines import LETTER_A, image_to_bits
-    bits = image_to_bits(LETTER_A)
-    for s in (1, 2, 3):
-        seed = keygen(s)
-        assert encrypt(bits, seed).bits == classical_oracle_encrypt(bits, seed)
+    rng = np.random.default_rng(4096)
+    random_payload = "".join(str(b) for b in rng.integers(0, 2, size=4096))
+    for bits in (image_to_bits(LETTER_A), random_payload):
+        for s in (1, 2, 3):
+            seed = keygen(s)
+            assert encrypt(bits, seed).bits == classical_oracle_encrypt(bits, seed)
+
+
+def test_oracle_never_runs_the_simulator(monkeypatch):
+    seed = keygen(9)
+    bits = "1011001110001111"
+    expected = encrypt(bits, seed).bits
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle ran the simulator")
+
+    monkeypatch.setattr(qaes, "run_circuit", refuse)
+    assert classical_oracle_encrypt(bits, seed) == expected
+
+
+@settings(max_examples=50, deadline=None)
+@given(rng_seed=st.integers(0, 10_000),
+       bits=st.text(alphabet="01", min_size=1, max_size=4096))
+def test_cipher_agrees_with_oracle_and_round_trips(rng_seed, bits):
+    seed = keygen(rng_seed)
+    ct = encrypt(bits, seed)
+    assert ct.bits == classical_oracle_encrypt(bits, seed)
+    assert decrypt(ct, seed) == bits
 
 
 # ---------------------------------------------------------------- keygen

@@ -104,6 +104,13 @@ def test_bad_config_rejected():
         HashConfig("PQC1", mode="sampled", shots=0)
 
 
+@pytest.mark.parametrize("field", ["theta1", "phi1", "theta2", "phi2"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_angle_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        HashConfig("PQC3", **{field: value})
+
+
 # ---------------------------------------------------------------- hash values
 
 def test_hash_all_zero_input():

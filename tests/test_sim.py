@@ -85,6 +85,12 @@ def test_malformed_gates_rejected():
         GateOp("ZZ", (0,))
 
 
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_non_finite_rx_angle_rejected(angle):
+    with pytest.raises(ValueError, match="angle"):
+        rx(angle, 0)
+
+
 # ---------------------------------------------------------------- apply / run
 
 def test_x_flips_ground_state():
