@@ -32,6 +32,9 @@ TEMPLATES = ("PQC1", "PQC2", "PQC3", "PQC4", "PQC5")
 MODE_EXACT = "exact"
 MODE_SAMPLED = "sampled"
 
+# Exact-mode probabilities this close to the maximum count as tied with it.
+_TIE_TOLERANCE = 1e-12
+
 
 @dataclass(frozen=True)
 class HashConfig:
@@ -144,12 +147,13 @@ def hash_bits(input_bits: str, cfg: HashConfig) -> str:
 
     Exact mode takes the argmax of the final state's probabilities;
     sampled mode takes the argmax of noisy shot counts.  Ties break toward
-    the smallest basis index, so exact mode is fully deterministic.
+    the smallest basis index; in exact mode probabilities within 1e-12 of
+    the maximum are ties, so rounding noise does not pick the winner.
     """
     circuit = build_hash_circuit(input_bits, cfg)
     if cfg.mode == MODE_EXACT:
         p = probabilities(run_circuit(circuit, 0))
-        index = int(p.argmax())
+        index = int((p >= p.max() - _TIE_TOLERANCE).argmax())
     else:
         noise = cfg.noise if cfg.noise is not None else NoiseModel()
         counts = noisy_sample(circuit, 0, cfg.shots, noise, cfg.rng_seed)

@@ -8,6 +8,7 @@ at 8 qubits; everything is kept as a dense complex128 vector.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,17 +19,30 @@ UNITARY_MAX_QUBITS = 5
 
 GATE_ARITY = {"X": 1, "H": 1, "RX": 1, "CX": 2, "SWAP": 2, "CCX": 3}
 
-_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
-_PAULIS = (_X, _Y, _Z)
+
+def _frozen(rows) -> np.ndarray:
+    m = np.array(rows, dtype=complex)
+    m.setflags(write=False)
+    return m
+
+
+_X = _frozen([[0.0, 1.0], [1.0, 0.0]])
+_PAULIS = (_X, _frozen([[0.0, -1.0j], [1.0j, 0.0]]),
+           _frozen([[1.0, 0.0], [0.0, -1.0]]))
+# The matrices of the angle-free gates, first listed qubit most significant.
+_FIXED_GATES = {
+    "X": _X,
+    "H": _frozen(np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)),
+    "CX": _frozen(np.eye(4)[[0, 1, 3, 2]]),
+    "SWAP": _frozen(np.eye(4)[[0, 2, 1, 3]]),
+    "CCX": _frozen(np.eye(8)[[0, 1, 2, 3, 4, 5, 7, 6]]),
+}
 
 
 def _rx(theta: float) -> np.ndarray:
     c = math.cos(theta / 2.0)
     s = math.sin(theta / 2.0)
-    return np.array([[c, -1.0j * s], [-1.0j * s, c]], dtype=complex)
+    return _frozen([[c, -1.0j * s], [-1.0j * s, c]])
 
 
 @dataclass(frozen=True)
@@ -158,53 +172,37 @@ class StateVector:
 
 
 def gate_matrix(g: GateOp) -> np.ndarray:
-    """Return the unitary of a gate in its own 2^arity space.
+    """Return the read-only unitary of a gate in its own 2^arity space.
 
     The first listed qubit is the most significant bit of the local index,
     so CX is the textbook block matrix diag(I, X).
     """
-    if g.kind == "X":
-        return _X.copy()
-    if g.kind == "H":
-        return _H.copy()
     if g.kind == "RX":
         return _rx(g.angle)
-    if g.kind == "CX":
-        m = np.eye(4, dtype=complex)
-        m[[2, 3]] = m[[3, 2]]
-        return m
-    if g.kind == "CCX":
-        m = np.eye(8, dtype=complex)
-        m[[6, 7]] = m[[7, 6]]
-        return m
-    if g.kind == "SWAP":
-        m = np.eye(4, dtype=complex)
-        m[[1, 2]] = m[[2, 1]]
-        return m
-    raise ValueError(f"unknown gate kind {g.kind!r}")
+    if g.kind not in _FIXED_GATES:
+        raise ValueError(f"unknown gate kind {g.kind!r}")
+    return _FIXED_GATES[g.kind]
 
 
-def _apply_single(amps: np.ndarray, mat: np.ndarray, target: int,
-                  controls: tuple[int, ...] = ()) -> None:
-    # Index pairing with stride 2^target; controls select the active subspace.
-    idx = np.arange(amps.size)
-    mask = ((idx >> target) & 1) == 0
-    for c in controls:
-        mask &= ((idx >> c) & 1) == 1
-    i0 = idx[mask]
-    i1 = i0 | (1 << target)
-    a0 = amps[i0]
-    a1 = amps[i1]
-    amps[i0] = mat[0, 0] * a0 + mat[0, 1] * a1
-    amps[i1] = mat[1, 0] * a0 + mat[1, 1] * a1
+@functools.lru_cache(maxsize=None)
+def _index_table(n_qubits: int, qubits: tuple[int, ...]) -> np.ndarray:
+    """Basis indices as a (2^k, 2^(n-k)) table for a gate on k qubits.
+
+    Row r holds the states whose gate qubits read r (first listed qubit
+    most significant); column c fixes the other qubits, so each column is
+    one 2^k-dimensional subspace the gate matrix acts on.
+    """
+    grid = np.arange(1 << n_qubits).reshape((2,) * n_qubits)  # axis j is qubit n-1-j
+    front = [n_qubits - 1 - q for q in qubits]
+    table = np.moveaxis(grid, front, range(len(qubits))).reshape(1 << len(qubits), -1)
+    table.setflags(write=False)
+    return table
 
 
-def _apply_swap(amps: np.ndarray, a: int, b: int) -> None:
-    idx = np.arange(amps.size)
-    sel = (((idx >> a) & 1) == 1) & (((idx >> b) & 1) == 0)
-    i = idx[sel]
-    j = (i ^ (1 << a)) | (1 << b)
-    amps[i], amps[j] = amps[j].copy(), amps[i].copy()
+def _apply_matrix(s: StateVector, mat: np.ndarray, qubits: tuple[int, ...]) -> None:
+    # The one gate kernel: act on every 2^k subspace of the gate qubits at once.
+    idx = _index_table(s.n_qubits, qubits)
+    s.amplitudes[idx] = mat @ s.amplitudes[idx]
 
 
 def apply_gate(s: StateVector, g: GateOp) -> StateVector:
@@ -213,16 +211,7 @@ def apply_gate(s: StateVector, g: GateOp) -> StateVector:
         raise ValueError(
             f"{g.kind} on {g.qubits} out of range for {s.n_qubits} qubits"
         )
-    if g.kind in ("X", "H", "RX"):
-        _apply_single(s.amplitudes, gate_matrix(g), g.qubits[0])
-    elif g.kind == "CX":
-        _apply_single(s.amplitudes, _X, g.qubits[1], controls=(g.qubits[0],))
-    elif g.kind == "CCX":
-        _apply_single(s.amplitudes, _X, g.qubits[2], controls=g.qubits[:2])
-    elif g.kind == "SWAP":
-        _apply_swap(s.amplitudes, g.qubits[0], g.qubits[1])
-    else:
-        raise ValueError(f"unknown gate kind {g.kind!r}")
+    _apply_matrix(s, gate_matrix(g), g.qubits)
     return s
 
 
@@ -318,7 +307,7 @@ def noisy_sample(c: Circuit, initial: int, shots: int, noise: NoiseModel,
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     if not isinstance(noise, NoiseModel):
-        noise = NoiseModel(*noise)
+        raise TypeError(f"noise must be a NoiseModel, got {type(noise).__name__}")
     rng = np.random.default_rng(rng_seed)
     n = c.n_qubits
     dim = 1 << n
@@ -342,7 +331,7 @@ def noisy_sample(c: Circuit, initial: int, shots: int, noise: NoiseModel,
                 for q in op.qubits:
                     if rng.random() < noise.depolarizing_p:
                         pauli = _PAULIS[rng.integers(0, 3)]
-                        _apply_single(s.amplitudes, pauli, q)
+                        _apply_matrix(s, pauli, (q,))
             p = probabilities(s)
             p = p / p.sum()
             out = int(rng.choice(dim, p=p))

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qengines import LETTER_A, validate_seed, seed_from_json, write_pbm
+from qengines import LETTER_A, qaes, validate_seed, seed_from_json, write_pbm
 from qengines.cli import main
 
 
@@ -169,6 +169,27 @@ def test_encrypt_decrypt_image_round_trip(workspace):
     assert main(["decrypt", "--in", str(cipher_path), "--seed", str(seed_path),
                  "--dims", "10x10", "--output", str(restored_path)]) == 0
     assert restored_path.read_bytes() == img_path.read_bytes()
+
+
+def test_cli_cipher_derives_the_mix_permutation_once(workspace, monkeypatch):
+    # One derivation is 16 simulator runs, one per 4-bit basis state.
+    tmp_path, img_path, seed_path = workspace
+    cipher_path = tmp_path / "cipher.json"
+    calls = []
+    real_run_circuit = qaes.run_circuit
+
+    def counting_run_circuit(*args, **kwargs):
+        calls.append(args)
+        return real_run_circuit(*args, **kwargs)
+
+    monkeypatch.setattr(qaes, "run_circuit", counting_run_circuit)
+    assert main(["encrypt", "--in", str(img_path), "--seed", str(seed_path),
+                 "--output", str(cipher_path)]) == 0
+    assert len(calls) == 16
+    calls.clear()
+    assert main(["decrypt", "--in", str(cipher_path), "--seed", str(seed_path),
+                 "--dims", "10x10", "--output", str(tmp_path / "r.pbm")]) == 0
+    assert len(calls) == 16
 
 
 def test_encrypt_preview_is_scrambled(workspace):

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from qengines import (
@@ -9,6 +10,7 @@ from qengines import (
     NoiseModel,
     TEMPLATES,
     build_hash_circuit,
+    circuit_unitary,
     hash_batch,
     hash_bits,
     to_bitstring,
@@ -219,6 +221,17 @@ def test_longer_inputs_reuse_second_layer_angles():
     ops = build_hash_circuit("1111" * 3, cfg).ops
     angles = [op.angle for op in ops]
     assert angles == [math.pi] * 4 + [math.pi / 2] * 8
+
+
+@pytest.mark.parametrize("template", TEMPLATES)
+def test_exact_ties_break_to_smallest_index_at_quarter_turn(template):
+    # At theta = pi/2 many outcomes tie exactly; rounding noise in the kernel
+    # must not pick the winner.  The unitary path is the independent reference.
+    cfg = HashConfig(template, theta1=math.pi / 2, theta2=math.pi / 2)
+    for bits in ALL_8BIT:
+        p = np.abs(circuit_unitary(build_hash_circuit(bits, cfg))[:, 0]) ** 2
+        expected = int(np.flatnonzero(p >= p.max() - 1e-9)[0])
+        assert hash_bits(bits, cfg) == format(expected, "04b"), bits
 
 
 # ---------------------------------------------------------------- sampled mode

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qengines import (
     Circuit,
@@ -27,13 +29,13 @@ from qengines import (
 )
 
 RNG = np.random.default_rng(20240521)
+ARITIES = {"X": 1, "H": 1, "RX": 1, "CX": 2, "CCX": 3, "SWAP": 2}
 
 
 def random_gate(n_qubits, rng):
-    arities = {"X": 1, "H": 1, "RX": 1, "CX": 2, "CCX": 3, "SWAP": 2}
-    kinds = [k for k, a in arities.items() if a <= n_qubits]
+    kinds = [k for k, a in ARITIES.items() if a <= n_qubits]
     kind = rng.choice(kinds)
-    arity = arities[kind]
+    arity = ARITIES[kind]
     qubits = tuple(int(q) for q in rng.choice(n_qubits, size=arity, replace=False))
     if kind == "RX":
         return GateOp(kind, qubits, angle=float(rng.uniform(-math.pi, math.pi)))
@@ -59,10 +61,28 @@ def test_rx_pi_is_x_up_to_phase():
     assert np.allclose(m, -1j * np.array([[0, 1], [1, 0]]), atol=1e-15)
 
 
-def test_cx_matrix_is_block_diag():
-    expected = np.eye(4, dtype=complex)
-    expected[[2, 3]] = expected[[3, 2]]
-    assert np.array_equal(gate_matrix(cx(0, 1)), expected)
+def block_diag_x(dim):
+    # Identity, then X on the last two basis states: the controlled-X blocks.
+    m = np.eye(dim, dtype=complex)
+    m[dim - 2:, dim - 2:] = [[0, 1], [1, 0]]
+    return m
+
+
+@pytest.mark.parametrize("gate,expected", [
+    (cx(0, 1), block_diag_x(4)),
+    (ccx(0, 1, 2), block_diag_x(8)),
+    (h(0), np.array([[1, 1], [1, -1]]) / math.sqrt(2)),
+    (swap(0, 1), [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]),
+], ids=["CX", "CCX", "H", "SWAP"])
+def test_fixed_gate_matrix_is_textbook(gate, expected):
+    assert np.array_equal(gate_matrix(gate), np.asarray(expected, dtype=complex))
+
+
+@pytest.mark.parametrize("gate", [x(0), h(0), rx(0.7, 0), cx(0, 1), swap(0, 1),
+                                  ccx(0, 1, 2)], ids=lambda g: g.kind)
+def test_gate_matrix_is_read_only(gate):
+    with pytest.raises(ValueError):
+        gate_matrix(gate)[0, 0] = 5.0
 
 
 def test_all_gate_matrices_unitary():
@@ -225,6 +245,31 @@ def test_unitary_matches_kernel_on_basis_states():
             assert np.abs(s.amplitudes - u[:, col]).max() < 1e-10
 
 
+@st.composite
+def circuits(draw):
+    n = draw(st.integers(1, 5))
+    ops = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from([k for k, a in ARITIES.items() if a <= n]))
+        qubits = tuple(draw(st.permutations(range(n)))[:ARITIES[kind]])
+        angle = draw(st.floats(-2 * math.pi, 2 * math.pi)) if kind == "RX" else None
+        ops.append(GateOp(kind, qubits, angle))
+    return Circuit(n, tuple(ops))
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=circuits(), state_seed=st.integers(0, 2**32 - 1))
+def test_kernel_matches_unitary_on_random_states(c, state_seed):
+    rng = np.random.default_rng(state_seed)
+    dim = 1 << c.n_qubits
+    amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    amps /= np.linalg.norm(amps)
+    s = StateVector(c.n_qubits, amps.copy())
+    for op in c.ops:
+        apply_gate(s, op)
+    assert np.abs(s.amplitudes - circuit_unitary(c) @ amps).max() < 1e-10
+
+
 def test_unitary_size_cap():
     with pytest.raises(ValueError):
         circuit_unitary(Circuit(6))
@@ -340,6 +385,11 @@ def test_noisy_sample_depolarizing_is_deterministic_per_seed():
 def test_noisy_sample_rejects_zero_shots():
     with pytest.raises(ValueError):
         noisy_sample(Circuit(1, (x(0),)), 0, 0, NoiseModel(), rng_seed=0)
+
+
+def test_noisy_sample_requires_a_noise_model():
+    with pytest.raises(TypeError, match="tuple"):
+        noisy_sample(Circuit(1, (x(0),)), 0, 10, (0.1, 0.0), rng_seed=0)
 
 
 def test_noise_model_validates_probabilities():
