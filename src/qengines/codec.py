@@ -53,6 +53,8 @@ def read_pbm(data: bytes) -> BitImage:
         width, height = int(tokens[1]), int(tokens[2])
     except (IndexError, ValueError):
         raise ParseError("missing or malformed PBM dimensions") from None
+    if width < 1 or height < 1:
+        raise ParseError(f"PBM dimensions must be positive, got {width}x{height}")
     digits = "".join(tokens[3:])
     if set(digits) - {"0", "1"}:
         raise ParseError("PBM pixel data must contain only 0/1")
@@ -123,10 +125,9 @@ def cipher_from_json(text: str) -> CipherText:
     try:
         doc = json.loads(text)
         orig_bit_len = int(doc["orig_bit_len"])
-        bits = str(doc["bits"])
+        return CipherText(bits=str(doc["bits"]), orig_bit_len=orig_bit_len)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed cipher document: {exc}") from None
-    return CipherText(bits=bits, orig_bit_len=orig_bit_len)
 
 
 # 10x10 test glyph of the letter A, 1 = black.

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qhash import HashConfig, hash_batch, hash_bits, to_bitstring
+from .qhash import HashConfig, hash_batch, to_bitstring
 
 _EPS = 1e-16
 _MAX_ITER = 10_000
@@ -137,25 +137,53 @@ def _hamming(a: str, b: str) -> int:
     return sum(ca != cb for ca, cb in zip(a, b))
 
 
+def _flip(bits: str, i: int) -> str:
+    return bits[:i] + ("1" if bits[i] == "0" else "0") + bits[i + 1:]
+
+
+def _fill_hashes(cfg: HashConfig, inputs: Sequence[str],
+                 table: dict[str, str]) -> None:
+    """Add to ``table`` the hash of every input and single-bit flip it lacks.
+
+    A hash depends only on (bitstring, cfg), in sampled mode too, since
+    ``hash_bits`` re-seeds the sampler per input; so one table can serve
+    every report of one config.
+    """
+    wanted = dict.fromkeys(
+        s for bits in inputs
+        for s in (bits, *(_flip(bits, i) for i in range(len(bits))))
+    )
+    missing = [s for s in wanted if s not in table]
+    if missing:
+        table.update(zip(missing, hash_batch(missing, cfg)))
+
+
+def _avalanche_mean(cfg: HashConfig, inputs: Sequence[str],
+                    table: dict[str, str]) -> float:
+    # Summed in (input, bit) order, so the float result is reproducible.
+    total = 0.0
+    for bits in inputs:
+        base = table[bits]
+        for i in range(len(bits)):
+            total += _hamming(base, table[_flip(bits, i)]) / cfg.n_qubits
+    return total / (len(inputs) * len(inputs[0]))
+
+
 def avalanche_score(cfg: HashConfig, inputs: Sequence[str]) -> float:
     """Mean normalized output distance under every single-bit input flip.
 
     Averages HammingDistance(hash(x), hash(x with bit i flipped)) / n_qubits
     over all inputs x and all bit positions i.  Always in [0, 1]; exactly 0
-    for a constant hasher.
+    for a constant hasher.  Each distinct bitstring is hashed once.
     """
     if not inputs:
         raise ValueError("empty input list")
     length = len(inputs[0])
     if length == 0 or any(len(x) != length for x in inputs):
         raise ValueError("inputs must be non-empty and of equal length")
-    total = 0.0
-    for bits in inputs:
-        base = hash_bits(bits, cfg)
-        for i in range(length):
-            flipped = bits[:i] + ("1" if bits[i] == "0" else "0") + bits[i + 1:]
-            total += _hamming(base, hash_bits(flipped, cfg)) / cfg.n_qubits
-    return total / (len(inputs) * length)
+    table: dict[str, str] = {}
+    _fill_hashes(cfg, inputs, table)
+    return _avalanche_mean(cfg, inputs, table)
 
 
 def _sweep_width(n_qubits: int, size: int) -> int:
@@ -165,31 +193,47 @@ def _sweep_width(n_qubits: int, size: int) -> int:
     return width
 
 
-def evaluate_batch(cfg: HashConfig, size: int,
-                   input_width: int | None = None) -> MetricsReport:
-    """Hash the integers 0..size-1 and compute the full metrics report."""
+def _report(cfg: HashConfig, size: int, input_width: int | None,
+            table: dict[str, str]) -> MetricsReport:
     if size < 1:
         raise ValueError(f"batch size must be >= 1, got {size}")
+    if input_width is not None and input_width < 1:
+        raise ValueError(f"input_width must be >= 1, got {input_width}")
     width = input_width if input_width is not None else _sweep_width(cfg.n_qubits, size)
     if size > (1 << width):
         raise ValueError(f"batch size {size} exceeds 2^{width} distinct inputs")
     inputs = [to_bitstring(i, width) for i in range(size)]
-    hashes = hash_batch(inputs, cfg)
-    hist = bucket_histogram(hashes, cfg.n_qubits)
+    _fill_hashes(cfg, inputs, table)
+    hist = bucket_histogram([table[bits] for bits in inputs], cfg.n_qubits)
     chi2, p = chi_squared_p(hist)
     return MetricsReport(
         histogram=hist,
         collision_rate=collision_rate(hist),
         chi_squared=chi2,
         p_value=p,
-        avalanche_mean=avalanche_score(cfg, inputs),
+        avalanche_mean=_avalanche_mean(cfg, inputs, table),
     )
+
+
+def evaluate_batch(cfg: HashConfig, size: int,
+                   input_width: int | None = None) -> MetricsReport:
+    """Hash the integers 0..size-1 and compute the full metrics report.
+
+    Each input and each of its single-bit flips is hashed once, and the
+    histogram and the avalanche mean read the same hashes.
+    """
+    return _report(cfg, size, input_width, {})
 
 
 def batch_sweep(cfg: HashConfig, batch_sizes: Sequence[int],
                 input_width: int | None = None) -> list[tuple[int, MetricsReport]]:
-    """Evaluate a config over several batch sizes of integer inputs."""
-    return [(size, evaluate_batch(cfg, size, input_width)) for size in batch_sizes]
+    """Evaluate a config over several batch sizes of integer inputs.
+
+    The reports share one table of hashes, so a bitstring that several
+    batches use is hashed once per sweep.
+    """
+    table: dict[str, str] = {}
+    return [(size, _report(cfg, size, input_width, table)) for size in batch_sizes]
 
 
 def histogram_csv(hist: BucketHistogram) -> str:

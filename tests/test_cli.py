@@ -1,6 +1,7 @@
 """Command line tests driven through main(argv)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +130,32 @@ def test_eval_stdout_mode(capsys):
     assert "bucket,count" in out
 
 
+def test_eval_negative_input_width_is_validation_error(capsys):
+    assert main(["eval", "--template", "PQC3", "--input-width", "-1"]) == 3
+    assert "input_width must be >= 1, got -1" in capsys.readouterr().err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# Summary rows print repr floats, so these files pin every report field bit
+# for bit, not just to a tolerance.
+EVAL_GOLDENS = {
+    f"eval_{t}_q{q}": ["--template", t, "--qubits", str(q)]
+    for t in ("PQC1", "PQC2", "PQC3", "PQC4", "PQC5") for q in (4, 8)
+}
+EVAL_GOLDENS["eval_PQC1_q4_angles"] = ["--template", "PQC1",
+                                       "--theta1", "0.5", "--theta2", "0.3"]
+EVAL_GOLDENS["eval_PQC3_q4_sampled"] = ["--template", "PQC3", "--mode", "sampled",
+                                        "--shots", "50", "--noise", "0.05,0.02",
+                                        "--rng-seed", "4"]
+
+
+@pytest.mark.parametrize("name", sorted(EVAL_GOLDENS))
+def test_eval_stdout_matches_golden(name, capsys):
+    out = run_ok(["eval", *EVAL_GOLDENS[name]], capsys)
+    assert out.encode("ascii") == (GOLDEN / f"{name}.csv").read_bytes()
+
+
 # ---------------------------------------------------------------- keygen
 
 def test_keygen_writes_valid_seed(tmp_path):
@@ -250,6 +277,28 @@ def test_corrupt_seed_file_is_io_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{definitely not json")
     assert main(["encrypt", "--in", "bits:1010", "--seed", str(bad)]) == 4
+
+
+@pytest.mark.parametrize("doc", [
+    {"orig_bit_len": 8, "bits": "0011x001"},
+    {"orig_bit_len": 6, "bits": "001110"},
+    {"orig_bit_len": 3, "bits": "00111001"},
+], ids=["non_binary_bits", "length_not_multiple_of_4", "inconsistent_orig_bit_len"])
+def test_malformed_cipher_file_is_io_error(doc, workspace, capsys):
+    tmp_path, _, seed_path = workspace
+    cipher_path = tmp_path / "cipher.json"
+    cipher_path.write_text(json.dumps(doc))
+    assert main(["decrypt", "--in", str(cipher_path), "--seed", str(seed_path)]) == 4
+    assert "malformed cipher document" in capsys.readouterr().err
+
+
+def test_zero_size_pbm_is_io_error(workspace, capsys):
+    tmp_path, _, seed_path = workspace
+    img_path = tmp_path / "empty.pbm"
+    img_path.write_bytes(b"P1\n0 5\n")
+    assert main(["encrypt", "--in", str(img_path), "--seed", str(seed_path),
+                 "--output", str(tmp_path / "c.json")]) == 4
+    assert "dimensions must be positive" in capsys.readouterr().err
 
 
 def test_invalid_seed_content_is_validation_error(tmp_path, capsys):

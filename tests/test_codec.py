@@ -50,6 +50,10 @@ def test_read_pbm_rejects_dimension_mismatch():
         read_pbm(b"P1\n2 2\n1 0 0\n")
     with pytest.raises(ParseError):
         read_pbm(b"P1\n2\n1 0\n")
+    with pytest.raises(ParseError, match="positive"):
+        read_pbm(b"P1\n0 5\n")
+    with pytest.raises(ParseError, match="positive"):
+        read_pbm(b"P1\n-2 -1\n1 0\n")
 
 
 def test_pbm_round_trip_10x10():
@@ -153,5 +157,9 @@ def test_cipher_json_round_trip():
 def test_cipher_json_rejects_garbage():
     with pytest.raises(ParseError):
         cipher_from_json("[1,2,3]")
-    with pytest.raises(ValueError):
-        cipher_from_json('{"orig_bit_len": 1, "bits": "001"}')
+    for doc in ('{"orig_bit_len": 1, "bits": "001"}',
+                '{"orig_bit_len": 4, "bits": "01x1"}',
+                '{"orig_bit_len": 4, "bits": [0, 1, 1, 0]}',
+                '{"orig_bit_len": 9, "bits": "00111001"}'):
+        with pytest.raises(ParseError):
+            cipher_from_json(doc)

@@ -8,6 +8,7 @@ import pytest
 from qengines import (
     BucketHistogram,
     HashConfig,
+    NoiseModel,
     avalanche_score,
     batch_sweep,
     bucket_histogram,
@@ -15,7 +16,9 @@ from qengines import (
     chi_squared_survival,
     collision_rate,
     evaluate_batch,
+    hash_bits,
     histogram_csv,
+    qhash,
     regularized_gamma_q,
     summary_csv,
     to_bitstring,
@@ -183,6 +186,34 @@ def test_avalanche_positive_with_frozen_goldens():
         assert score == pytest.approx(expected, abs=1e-12)
 
 
+def longhand_avalanche(cfg, inputs):
+    # One hash_bits call per input and per flip, summed in (input, bit) order.
+    total = 0.0
+    for bits in inputs:
+        base = hash_bits(bits, cfg)
+        for i in range(len(bits)):
+            flipped = bits[:i] + ("1" if bits[i] == "0" else "0") + bits[i + 1:]
+            other = hash_bits(flipped, cfg)
+            total += sum(a != b for a, b in zip(base, other)) / cfg.n_qubits
+    return total / (len(inputs) * len(inputs[0]))
+
+
+@pytest.mark.parametrize("width", [4, 8])
+@pytest.mark.parametrize("template", ["PQC1", "PQC2", "PQC3", "PQC4", "PQC5"])
+def test_avalanche_mean_equals_longhand(template, width):
+    inputs = [to_bitstring(i, width) for i in range(10)]
+    configs = [
+        HashConfig(template, theta1=0.7 * math.pi, phi1=0.2 * math.pi,
+                   theta2=0.4 * math.pi, phi2=0.9 * math.pi),
+        HashConfig(template, mode="sampled", shots=16, rng_seed=3,
+                   noise=NoiseModel(0.05, 0.02)),
+    ]
+    for cfg in configs:
+        expected = longhand_avalanche(cfg, inputs)
+        assert evaluate_batch(cfg, 10, input_width=width).avalanche_mean == expected
+        assert avalanche_score(cfg, inputs) == expected
+
+
 def test_avalanche_rejects_bad_inputs():
     cfg = HashConfig("PQC4")
     with pytest.raises(ValueError):
@@ -228,6 +259,80 @@ def test_sweep_default_width_is_two_blocks():
     assert report.histogram.total == 100
     # 100 inputs fit in the minimal even multiple of n, which is 8 bits.
     assert report.chi_squared == pytest.approx(0.48, abs=1e-12)
+
+
+def test_sweep_rejects_negative_input_width():
+    with pytest.raises(ValueError, match=r"^input_width must be >= 1, got -1$"):
+        evaluate_batch(HashConfig("PQC3"), 10, input_width=-1)
+    with pytest.raises(ValueError, match=r"^input_width must be >= 1, got 0$"):
+        batch_sweep(HashConfig("PQC3"), [1], input_width=0)
+
+
+def assert_reports_equal(a, b):
+    assert a.histogram.n_qubits == b.histogram.n_qubits
+    assert a.histogram.total == b.histogram.total
+    assert a.histogram.counts.tolist() == b.histogram.counts.tolist()
+    assert a.collision_rate == b.collision_rate
+    assert a.chi_squared == b.chi_squared
+    assert a.p_value == b.p_value
+    assert a.avalanche_mean == b.avalanche_mean
+
+
+@pytest.mark.parametrize("cfg, sizes, width", [
+    (HashConfig("PQC3"), [25, 50, 100], 8),
+    (HashConfig("PQC1", theta1=0.5 * math.pi, theta2=0.3 * math.pi), [100, 7, 30], 8),
+    (HashConfig("PQC5", n_qubits=3), [5, 40], None),
+    (HashConfig("PQC2", mode="sampled", shots=16, rng_seed=4,
+                noise=NoiseModel(0.05, 0.02)), [6, 12], 4),
+])
+def test_sweep_equals_separate_reports(cfg, sizes, width):
+    swept = batch_sweep(cfg, sizes, input_width=width)
+    assert [size for size, _ in swept] == sizes
+    for (size, report), alone in zip(swept, [evaluate_batch(cfg, s, width) for s in sizes]):
+        assert_reports_equal(report, alone)
+
+
+@pytest.fixture
+def hash_calls(monkeypatch):
+    # Every hash the metrics compute goes through qhash.hash_bits.
+    calls = []
+    real_hash_bits = qhash.hash_bits
+
+    def counting_hash_bits(bits, cfg):
+        calls.append(bits)
+        return real_hash_bits(bits, cfg)
+
+    monkeypatch.setattr(qhash, "hash_bits", counting_hash_bits)
+    return calls
+
+
+def flip_closure(values, width):
+    """Inputs plus all their single-bit flips, as a set of integers."""
+    return {v ^ flip for v in values for flip in [0] + [1 << i for i in range(width)]}
+
+
+def test_report_hashes_each_distinct_bitstring_once(hash_calls):
+    expected = flip_closure(range(100), 8)
+    assert len(expected) == 228
+    evaluate_batch(HashConfig("PQC3"), 100, input_width=8)
+    assert sorted(hash_calls) == sorted(to_bitstring(v, 8) for v in expected)
+
+
+def test_sweep_hashes_each_distinct_bitstring_once(hash_calls):
+    # 0..24 and 0..49 lie inside 0..99, so the sweep needs no more hashes
+    # than its largest report.
+    expected = set().union(*(flip_closure(range(s), 8) for s in (25, 50, 100)))
+    assert len(expected) == 228
+    batch_sweep(HashConfig("PQC3"), [25, 50, 100], input_width=8)
+    assert sorted(hash_calls) == sorted(to_bitstring(v, 8) for v in expected)
+
+
+def test_avalanche_hashes_each_distinct_bitstring_once(hash_calls):
+    # Over all 256 8-bit inputs every flip is itself an input.
+    expected = flip_closure(range(256), 8)
+    assert len(expected) == 256
+    avalanche_score(HashConfig("PQC3"), [to_bitstring(i, 8) for i in range(256)])
+    assert sorted(hash_calls) == sorted(to_bitstring(v, 8) for v in expected)
 
 
 def test_rotations_only_template_ties_with_entangled_ones_at_defaults():
