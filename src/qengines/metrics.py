@@ -186,23 +186,15 @@ def avalanche_score(cfg: HashConfig, inputs: Sequence[str]) -> float:
     return _avalanche_mean(cfg, inputs, table)
 
 
-def _sweep_width(n_qubits: int, size: int) -> int:
-    width = 2 * n_qubits
-    while (1 << width) < size:
-        width += 2 * n_qubits
-    return width
-
-
-def _report(cfg: HashConfig, size: int, input_width: int | None,
+def _report(cfg: HashConfig, size: int, input_width: int,
             table: dict[str, str]) -> MetricsReport:
     if size < 1:
         raise ValueError(f"batch size must be >= 1, got {size}")
-    if input_width is not None and input_width < 1:
+    if input_width < 1:
         raise ValueError(f"input_width must be >= 1, got {input_width}")
-    width = input_width if input_width is not None else _sweep_width(cfg.n_qubits, size)
-    if size > (1 << width):
-        raise ValueError(f"batch size {size} exceeds 2^{width} distinct inputs")
-    inputs = [to_bitstring(i, width) for i in range(size)]
+    if size > (1 << input_width):
+        raise ValueError(f"batch size {size} exceeds 2^{input_width} distinct inputs")
+    inputs = [to_bitstring(i, input_width) for i in range(size)]
     _fill_hashes(cfg, inputs, table)
     hist = bucket_histogram([table[bits] for bits in inputs], cfg.n_qubits)
     chi2, p = chi_squared_p(hist)
@@ -215,9 +207,8 @@ def _report(cfg: HashConfig, size: int, input_width: int | None,
     )
 
 
-def evaluate_batch(cfg: HashConfig, size: int,
-                   input_width: int | None = None) -> MetricsReport:
-    """Hash the integers 0..size-1 and compute the full metrics report.
+def evaluate_batch(cfg: HashConfig, size: int, input_width: int) -> MetricsReport:
+    """Hash the integers 0..size-1, as input_width-bit strings, and report.
 
     Each input and each of its single-bit flips is hashed once, and the
     histogram and the avalanche mean read the same hashes.
@@ -226,7 +217,7 @@ def evaluate_batch(cfg: HashConfig, size: int,
 
 
 def batch_sweep(cfg: HashConfig, batch_sizes: Sequence[int],
-                input_width: int | None = None) -> list[tuple[int, MetricsReport]]:
+                input_width: int) -> list[tuple[int, MetricsReport]]:
     """Evaluate a config over several batch sizes of integer inputs.
 
     The reports share one table of hashes, so a bitstring that several

@@ -226,6 +226,8 @@ def keygen(rng_seed: int, n_mix_gates: int = 12) -> SeedSpec:
     Deterministic per rng_seed.  Regenerates if both the table and the
     derived mix action happen to be identity.
     """
+    if n_mix_gates < 0:
+        raise ValueError(f"n_mix_gates must be >= 0, got {n_mix_gates}")
     rng = np.random.default_rng(rng_seed)
     kinds = sorted(CLASSICAL_GATE_KINDS)
     while True:

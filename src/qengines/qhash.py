@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .sim import (
+    MAX_QUBITS,
     Circuit,
     GateOp,
     NoiseModel,
@@ -49,13 +50,13 @@ class HashConfig:
     mode: str = MODE_EXACT
     shots: int = 1000
     rng_seed: int = 0
-    noise: NoiseModel | None = None
+    noise: NoiseModel = NoiseModel()
 
     def __post_init__(self) -> None:
         if self.template not in TEMPLATES:
             raise ValueError(f"unknown template {self.template!r}")
-        if not 1 <= self.n_qubits <= 8:
-            raise ValueError(f"n_qubits must be in [1, 8], got {self.n_qubits}")
+        if not 1 <= self.n_qubits <= MAX_QUBITS:
+            raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
         for name in ("theta1", "phi1", "theta2", "phi2"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -155,8 +156,7 @@ def hash_bits(input_bits: str, cfg: HashConfig) -> str:
         p = probabilities(run_circuit(circuit, 0))
         index = int((p >= p.max() - _TIE_TOLERANCE).argmax())
     else:
-        noise = cfg.noise if cfg.noise is not None else NoiseModel()
-        counts = noisy_sample(circuit, 0, cfg.shots, noise, cfg.rng_seed)
+        counts = noisy_sample(circuit, 0, cfg.shots, cfg.noise, cfg.rng_seed)
         best = max(counts.values())
         index = min(k for k, v in counts.items() if v == best)
     return format_bits(index, cfg.n_qubits)

@@ -1,9 +1,12 @@
 """Command line tests driven through main(argv)."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qengines import LETTER_A, qaes, validate_seed, seed_from_json, write_pbm
 from qengines.cli import main
@@ -318,3 +321,162 @@ def test_bad_dims_is_validation_error(workspace, capsys):
           "--output", str(cipher_path)])
     assert main(["decrypt", "--in", str(cipher_path), "--seed", str(seed_path),
                  "--dims", "7x9"]) == 3
+
+
+# ---------------------------------------------------------------- rejected input
+
+def test_keygen_negative_gate_count_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "seed.json"
+    assert main(["keygen", "--gates", "-3", "--output", str(path)]) == 3
+    assert "n_mix_gates must be >= 0" in capsys.readouterr().err
+    assert not path.exists()
+
+
+# Each rule below is checked only where the data takes its type (BitImage,
+# the hash and cipher input checks); the CLI must keep the exit code.
+@pytest.mark.parametrize("argv, pbm, code", [
+    (["hash", "--input", "bits:", "--template", "PQC4"], None, 3),
+    (["hash", "--input", "bits:0a1", "--template", "PQC4"], None, 3),
+    (["encrypt", "--in", "bits:01x1", "--seed", "{seed}"], None, 3),
+    (["encrypt", "--in", "{pbm}", "--seed", "{seed}"], b"P1\n2 2\n1 0\n2 1\n", 4),
+    (["encrypt", "--in", "{pbm}", "--seed", "{seed}"], b"P1\n2 2\n1 0\n0\n", 4),
+    (["encrypt", "--in", "{pbm}", "--seed", "{seed}"], b"P1\n0 5\n", 4),
+    (["encrypt", "--in", "{pbm}", "--seed", "{seed}"], b"P1\n-2 -1\n1 0\n", 4),
+    (["decrypt", "--in", "{cipher}", "--seed", "{seed}", "--dims", "0x5"], None, 3),
+    (["decrypt", "--in", "{cipher}", "--seed", "{seed}", "--dims", "3x3"], None, 3),
+], ids=["hash_empty_bits", "hash_non_binary_bits", "encrypt_non_binary_bits",
+        "pbm_pixel_2", "pbm_one_pixel_short", "pbm_zero_size", "pbm_negative_size",
+        "dims_zero", "dims_too_small"])
+def test_rejected_input_keeps_its_exit_code(argv, pbm, code, workspace, capsys):
+    tmp_path, img_path, seed_path = workspace
+    cipher_path = tmp_path / "cipher.json"
+    assert main(["encrypt", "--in", str(img_path), "--seed", str(seed_path),
+                 "--output", str(cipher_path)]) == 0
+    pbm_path = tmp_path / "bad.pbm"
+    if pbm is not None:
+        pbm_path.write_bytes(pbm)
+    out = tmp_path / "out"
+    files = {"seed": seed_path, "cipher": cipher_path, "pbm": pbm_path}
+    assert main([a.format(**files) for a in argv] + ["--output", str(out)]) == code
+    assert not out.exists()
+
+
+def _seed_doc(**fields):
+    doc = {"version": 1, "sub_table": list(range(16)),
+           "mix_gates": [{"kind": "CX", "qubits": [0, 1]}]}
+    return json.dumps({**doc, **fields}).encode("ascii")
+
+
+def _cipher_doc(**fields):
+    return json.dumps({"orig_bit_len": 4, "bits": "1010", **fields}).encode("ascii")
+
+
+DEEP = b"[" * 100_000 + b"]" * 100_000
+
+
+@pytest.mark.parametrize("document", [
+    _seed_doc(version=1.7),
+    _seed_doc(version=True),
+    _seed_doc(version=float("inf")),
+    _seed_doc().replace(b'"version": 1', b'"version": 1e400'),
+    _seed_doc(sub_table=[0.0] + list(range(1, 16))),
+    _seed_doc(sub_table={str(i): i for i in range(16)}),
+    _seed_doc(mix_gates={}),
+    _seed_doc(mix_gates=[{"kind": "CX", "qubits": [0.9, 1.2]}]),
+    _seed_doc(mix_gates=[{"kind": "X", "qubits": [float("inf")]}]),
+    _seed_doc(mix_gates=[{"kind": "CX", "qubits": "01"}]),
+    _seed_doc(mix_gates=[{"kind": 1, "qubits": [0]}]),
+    DEEP,
+    _seed_doc().replace(b'"CX"', b'"CX\xc3\xa9"'),
+], ids=["version_float", "version_bool", "version_infinity", "version_1e400",
+        "sub_table_float", "sub_table_object", "mix_gates_object", "qubits_float",
+        "qubit_infinity", "qubits_string", "kind_number", "deep_nesting", "non_ascii"])
+def test_malformed_seed_field_is_io_error(document, tmp_path, capsys):
+    seed_path = tmp_path / "seed.json"
+    seed_path.write_bytes(document)
+    out = tmp_path / "c.json"
+    assert main(["encrypt", "--in", "bits:1010", "--seed", str(seed_path),
+                 "--output", str(out)]) == 4
+    assert "malformed seed document" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("document", [
+    _cipher_doc(orig_bit_len=float("inf")),
+    _cipher_doc(orig_bit_len=4.0),
+    _cipher_doc(orig_bit_len=True, bits="1000"),
+    _cipher_doc(bits=1010),
+    DEEP,
+    _cipher_doc().replace(b'"1010"', b'"1010\xc3\xa9"'),
+], ids=["orig_bit_len_infinity", "orig_bit_len_float", "orig_bit_len_bool",
+        "bits_number", "deep_nesting", "non_ascii"])
+def test_malformed_cipher_field_is_io_error(document, workspace, capsys):
+    tmp_path, _, seed_path = workspace
+    cipher_path = tmp_path / "cipher.json"
+    cipher_path.write_bytes(document)
+    assert main(["decrypt", "--in", str(cipher_path), "--seed", str(seed_path)]) == 4
+    assert "malformed cipher document" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    assert main(["keygen", "--rng-seed", "5", "--output", str(root / "seed.json")]) == 0
+    return root
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=8,
+)
+
+FIELD_PATHS = {
+    "seed": [(), ("version",), ("sub_table",), ("sub_table", 3), ("mix_gates",),
+             ("mix_gates", 0), ("mix_gates", 0, "kind"), ("mix_gates", 0, "qubits"),
+             ("mix_gates", 0, "qubits", 1)],
+    "cipher": [(), ("orig_bit_len",), ("bits",)],
+}
+
+
+@st.composite
+def swapped_documents(draw, which):
+    # A valid document with the value at one path replaced.
+    doc = json.loads(_seed_doc() if which == "seed" else _cipher_doc())
+    path = draw(st.sampled_from(FIELD_PATHS[which]))
+    # Non-finite numbers get a branch of their own; st.floats() rarely draws them.
+    value = draw(st.sampled_from([math.inf, -math.inf, math.nan]) | JSON_VALUES)
+    if not path:
+        return json.dumps(value).encode("ascii")
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return json.dumps(doc).encode("ascii")
+
+
+@st.composite
+def input_files(draw):
+    which = draw(st.sampled_from(["seed", "cipher", "pbm"]))
+    if which == "pbm":
+        text = st.text(alphabet="P1 \n#0129-ax", max_size=40)
+        shaped = text.map(lambda t: ("P1\n" + t).encode("ascii"))
+        return which, draw(st.binary(max_size=200) | shaped)
+    return which, draw(st.binary(max_size=200) | swapped_documents(which))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=input_files())
+def test_any_input_file_gives_an_exit_code(case, fuzz_dir):
+    which, data = case
+    path = fuzz_dir / f"input.{which}"
+    path.write_bytes(data)
+    seed = str(fuzz_dir / "seed.json")
+    out = str(fuzz_dir / "out")
+    argv = {
+        "seed": ["encrypt", "--in", "bits:1010", "--seed", str(path)],
+        "cipher": ["decrypt", "--in", str(path), "--seed", seed],
+        "pbm": ["encrypt", "--in", str(path), "--seed", seed],
+    }[which]
+    assert main(argv + ["--output", out]) in (0, 3, 4)

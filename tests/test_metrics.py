@@ -254,18 +254,21 @@ def test_sweep_rejects_oversized_batch():
         batch_sweep(HashConfig("PQC3"), [0], input_width=8)
 
 
-def test_sweep_default_width_is_two_blocks():
-    (_, report), = batch_sweep(HashConfig("PQC4"), [100])
-    assert report.histogram.total == 100
-    # 100 inputs fit in the minimal even multiple of n, which is 8 bits.
-    assert report.chi_squared == pytest.approx(0.48, abs=1e-12)
-
-
 def test_sweep_rejects_negative_input_width():
     with pytest.raises(ValueError, match=r"^input_width must be >= 1, got -1$"):
         evaluate_batch(HashConfig("PQC3"), 10, input_width=-1)
     with pytest.raises(ValueError, match=r"^input_width must be >= 1, got 0$"):
         batch_sweep(HashConfig("PQC3"), [1], input_width=0)
+
+
+def test_input_width_is_required():
+    # There is no automatic width: the caller says how wide the inputs are.
+    with pytest.raises(TypeError):
+        evaluate_batch(HashConfig("PQC3"), 10)
+    with pytest.raises(TypeError):
+        batch_sweep(HashConfig("PQC3"), [10])
+    with pytest.raises(TypeError):
+        evaluate_batch(HashConfig("PQC3"), 10, input_width=None)
 
 
 def assert_reports_equal(a, b):
@@ -281,7 +284,7 @@ def assert_reports_equal(a, b):
 @pytest.mark.parametrize("cfg, sizes, width", [
     (HashConfig("PQC3"), [25, 50, 100], 8),
     (HashConfig("PQC1", theta1=0.5 * math.pi, theta2=0.3 * math.pi), [100, 7, 30], 8),
-    (HashConfig("PQC5", n_qubits=3), [5, 40], None),
+    (HashConfig("PQC5", n_qubits=3), [5, 40], 6),
     (HashConfig("PQC2", mode="sampled", shots=16, rng_seed=4,
                 noise=NoiseModel(0.05, 0.02)), [6, 12], 4),
 ])

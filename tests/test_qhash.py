@@ -106,6 +106,13 @@ def test_bad_config_rejected():
         HashConfig("PQC1", mode="sampled", shots=0)
 
 
+def test_no_noise_has_one_spelling():
+    assert HashConfig("PQC3").noise == NoiseModel()
+    cfg = HashConfig("PQC3", mode="sampled", shots=16, noise=None)
+    with pytest.raises(TypeError, match="NoiseModel"):
+        hash_bits("0110", cfg)
+
+
 @pytest.mark.parametrize("field", ["theta1", "phi1", "theta2", "phi2"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_non_finite_angle_rejected(field, value):
