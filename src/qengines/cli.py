@@ -153,11 +153,10 @@ def _cmd_decrypt(args: argparse.Namespace) -> int:
     ct = codec.cipher_from_json(Path(args.infile).read_bytes())
     bits = qaes.decrypt(ct, seed)
     if args.dims:
-        try:
-            w, h = (int(v) for v in args.dims.lower().split("x"))
-        except ValueError:
-            raise ValueError(f"bad --dims {args.dims!r}, expected WxH") from None
-        img = codec.bits_to_image(bits, w, h)
+        sizes = args.dims.lower().split("x")
+        if len(sizes) != 2 or not all(v.isascii() and v.isdigit() for v in sizes):
+            raise ValueError(f"bad --dims {args.dims!r}, expected WxH in digits")
+        img = codec.bits_to_image(bits, int(sizes[0]), int(sizes[1]))
         if args.output:
             _write_atomic(args.output, codec.write_pbm(img))
         else:

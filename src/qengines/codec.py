@@ -29,13 +29,14 @@ class BitImage:
     def __post_init__(self) -> None:
         if self.width < 1 or self.height < 1:
             raise ValueError("image dimensions must be positive")
-        object.__setattr__(self, "pixels", tuple(int(p) for p in self.pixels))
+        object.__setattr__(self, "pixels", tuple(self.pixels))
         if len(self.pixels) != self.width * self.height:
             raise ValueError(
                 f"pixel count {len(self.pixels)} != {self.width}x{self.height}"
             )
-        if set(self.pixels) - {0, 1}:
-            raise ValueError("pixels must be 0 or 1")
+        # A type test as well, since 1.0 and True compare equal to 1.
+        if set(map(type, self.pixels)) - {int} or set(self.pixels) - {0, 1}:
+            raise ValueError("pixels must be the ints 0 or 1")
 
 
 def read_pbm(data: bytes) -> BitImage:
@@ -49,12 +50,14 @@ def read_pbm(data: bytes) -> BitImage:
     if not tokens or tokens[0] != "P1":
         magic = tokens[0] if tokens else "<empty>"
         raise ParseError(f"unsupported magic {magic!r}, expected P1")
+    sizes = tokens[1:3]
+    # int() would also take a sign or "1_0"; the text is ASCII by now.
+    if len(sizes) != 2 or not all(v.isdigit() for v in sizes):
+        raise ParseError(f"malformed PBM dimensions {' '.join(sizes)!r}, "
+                         "expected two positive decimal integers")
     try:
-        width, height = int(tokens[1]), int(tokens[2])
-    except (IndexError, ValueError):
-        raise ParseError("missing or malformed PBM dimensions") from None
-    try:
-        return BitImage(width, height, tuple(int(ch) for ch in "".join(tokens[3:])))
+        return BitImage(int(sizes[0]), int(sizes[1]),
+                        tuple(int(ch) for ch in "".join(tokens[3:])))
     except ValueError as exc:
         raise ParseError(f"malformed PBM: {exc}") from None
 

@@ -30,6 +30,9 @@ TABLE_SIZE = 1 << CHUNK_BITS
 
 CLASSICAL_GATE_KINDS = frozenset({"X", "CX", "CCX", "SWAP"})
 
+# The only seed format there is; keygen writes it and validate_seed requires it.
+_SEED_VERSION = 1
+
 
 @dataclass(frozen=True)
 class SeedSpec:
@@ -54,10 +57,11 @@ class CipherText:
             raise ValueError(
                 f"cipher bit length {len(self.bits)} is not a multiple of {CHUNK_BITS}"
             )
-        if not self.orig_bit_len <= len(self.bits) < self.orig_bit_len + CHUNK_BITS:
+        n_bits = len(self.bits)
+        if not 0 <= self.orig_bit_len <= n_bits < self.orig_bit_len + CHUNK_BITS:
             raise ValueError(
                 f"orig_bit_len {self.orig_bit_len} inconsistent with "
-                f"{len(self.bits)} cipher bits"
+                f"{n_bits} cipher bits"
             )
 
 
@@ -92,6 +96,8 @@ def validate_seed(seed: SeedSpec) -> list[str]:
     permutation, which MixPermutation.from_gates still checks when it derives it.
     """
     violations: list[str] = []
+    if seed.version != _SEED_VERSION:
+        violations.append(f"unsupported seed version {seed.version}")
     table = seed.sub_table
     if len(table) != TABLE_SIZE or sorted(table) != list(range(TABLE_SIZE)):
         violations.append("sub_table is not a permutation of 0..15")
@@ -249,7 +255,7 @@ def keygen(rng_seed: int, n_mix_gates: int = 12) -> SeedSpec:
                                            replace=False)
             )
             gates.append(GateOp(kind, qubits))
-        seed = SeedSpec(version=1, sub_table=tuple(table), mix_gates=tuple(gates))
+        seed = SeedSpec(_SEED_VERSION, tuple(table), tuple(gates))
         mix_map = MixPermutation.from_gates(seed.mix_gates).map
         if tuple(table) == tuple(range(TABLE_SIZE)) and mix_map == tuple(
                 range(TABLE_SIZE)):

@@ -135,11 +135,12 @@ def build_hash_circuit(input_bits: str, cfg: HashConfig) -> Circuit:
     """
     n = cfg.n_qubits
     ops: list[GateOp] = []
+    entangler = entangler_ops(cfg.template, n)
     for k, block in enumerate(_blocks(input_bits, n)):
         theta, phi = (cfg.theta1, cfg.phi1) if k == 0 else (cfg.theta2, cfg.phi2)
         for j, bit in enumerate(block):
             ops.append(rx(theta if bit == "1" else phi, n - 1 - j))
-        ops += entangler_ops(cfg.template, n)
+        ops += entangler
     return Circuit(n, tuple(ops))
 
 

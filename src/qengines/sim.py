@@ -226,6 +226,24 @@ def probabilities(s: StateVector) -> np.ndarray:
     return np.abs(s.amplitudes) ** 2
 
 
+def _draw(probs: np.ndarray, shots: int, readout_flip_q: float,
+          rng: np.random.Generator) -> np.ndarray:
+    """Draw shot outcomes and flip each bit with probability readout_flip_q.
+
+    Each shot takes one uniform for its outcome, then one per bit for its
+    flips even at q = 0, so the draws that follow do not depend on q.
+    """
+    n = (len(probs) - 1).bit_length()
+    outcomes = rng.choice(len(probs), size=shots, p=probs / probs.sum())
+    flips = rng.random((shots, n)) < readout_flip_q
+    return outcomes ^ (flips @ (1 << np.arange(n)))
+
+
+def _counts(outcomes: np.ndarray) -> dict[int, int]:
+    """Outcome counts as {index: count}, nonzero entries only, index order."""
+    return {int(i): int(v) for i, v in enumerate(np.bincount(outcomes)) if v > 0}
+
+
 def sample(s: StateVector, shots: int, rng_seed: int) -> dict[int, int]:
     """Draw shot counts from the register's outcome distribution.
 
@@ -234,11 +252,7 @@ def sample(s: StateVector, shots: int, rng_seed: int) -> dict[int, int]:
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    rng = np.random.default_rng(rng_seed)
-    p = probabilities(s)
-    p = p / p.sum()
-    counts = rng.multinomial(shots, p)
-    return {int(i): int(c) for i, c in enumerate(counts) if c > 0}
+    return _counts(_draw(probabilities(s), shots, 0.0, np.random.default_rng(rng_seed)))
 
 
 def _embed(mat: np.ndarray, qubits: tuple[int, ...], n_qubits: int) -> np.ndarray:
@@ -297,48 +311,28 @@ def noisy_sample(c: Circuit, initial: int, shots: int, noise: NoiseModel,
                  rng_seed: int) -> dict[int, int]:
     """Sample a circuit under the parametric noise model.
 
-    Each shot simulates the circuit; after every gate, every touched qubit
-    suffers a uniformly random Pauli with probability depolarizing_p.  The
-    sampled outcome then has each bit flipped with probability
-    readout_flip_q.  Deterministic for a fixed rng_seed.
+    After every gate, every touched qubit suffers a uniformly random Pauli
+    with probability depolarizing_p, so each shot is its own run; with p = 0
+    one noiseless run serves every shot.  Each outcome then has each bit
+    flipped with probability readout_flip_q.  Deterministic per rng_seed.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     if not isinstance(noise, NoiseModel):
         raise TypeError(f"noise must be a NoiseModel, got {type(noise).__name__}")
     rng = np.random.default_rng(rng_seed)
-    n = c.n_qubits
-    dim = 1 << n
-    counts = np.zeros(dim, dtype=np.int64)
-
-    if noise.depolarizing_p == 0.0:
-        # Noiseless evolution is shot-independent; simulate once.
-        p = probabilities(run_circuit(c, initial))
-        p = p / p.sum()
-        outcomes = rng.choice(dim, size=shots, p=p)
-        if noise.readout_flip_q > 0.0:
-            flips = rng.random((shots, n)) < noise.readout_flip_q
-            masks = flips.astype(np.int64) @ (1 << np.arange(n))
-            outcomes = outcomes ^ masks
-        np.add.at(counts, outcomes, 1)
-    else:
-        for _ in range(shots):
-            s = StateVector.basis(n, initial)
-            for op in c.ops:
-                apply_gate(s, op)
-                for q in op.qubits:
-                    if rng.random() < noise.depolarizing_p:
-                        pauli = _PAULIS[rng.integers(0, 3)]
-                        _apply_matrix(s, pauli, (q,))
-            p = probabilities(s)
-            p = p / p.sum()
-            out = int(rng.choice(dim, p=p))
-            for b in range(n):
-                if rng.random() < noise.readout_flip_q:
-                    out ^= 1 << b
-            counts[out] += 1
-
-    return {int(i): int(v) for i, v in enumerate(counts) if v > 0}
+    p = noise.depolarizing_p
+    runs, per_run = (shots, 1) if p > 0.0 else (1, shots)
+    outcomes = []
+    for _ in range(runs):
+        s = StateVector.basis(c.n_qubits, initial)
+        for op in c.ops:
+            apply_gate(s, op)
+            for q in op.qubits:
+                if p > 0.0 and rng.random() < p:
+                    _apply_matrix(s, _PAULIS[rng.integers(0, 3)], (q,))
+        outcomes.append(_draw(probabilities(s), per_run, noise.readout_flip_q, rng))
+    return _counts(np.concatenate(outcomes))
 
 
 def format_bits(index: int, n_qubits: int) -> str:

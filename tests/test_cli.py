@@ -286,7 +286,9 @@ def test_corrupt_seed_file_is_io_error(tmp_path, capsys):
     {"orig_bit_len": 8, "bits": "0011x001"},
     {"orig_bit_len": 6, "bits": "001110"},
     {"orig_bit_len": 3, "bits": "00111001"},
-], ids=["non_binary_bits", "length_not_multiple_of_4", "inconsistent_orig_bit_len"])
+    {"orig_bit_len": -3, "bits": ""},
+], ids=["non_binary_bits", "length_not_multiple_of_4", "inconsistent_orig_bit_len",
+        "negative_orig_bit_len"])
 def test_malformed_cipher_file_is_io_error(doc, workspace, capsys):
     tmp_path, _, seed_path = workspace
     cipher_path = tmp_path / "cipher.json"
@@ -312,6 +314,14 @@ def test_invalid_seed_content_is_validation_error(tmp_path, capsys):
         "mix_gates": [],
     }))
     assert main(["encrypt", "--in", "bits:1010", "--seed", str(bad)]) == 3
+
+
+def test_unsupported_seed_version_is_validation_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"version": -42, "sub_table": list(range(16)),
+                               "mix_gates": []}))
+    assert main(["encrypt", "--in", "bits:1010", "--seed", str(bad)]) == 3
+    assert "unsupported seed version -42" in capsys.readouterr().err
 
 
 def test_bad_dims_is_validation_error(workspace, capsys):
@@ -344,9 +354,17 @@ def test_keygen_negative_gate_count_is_validation_error(tmp_path, capsys):
     (["encrypt", "--in", "{pbm}", "--seed", "{seed}"], b"P1\n-2 -1\n1 0\n", 4),
     (["decrypt", "--in", "{cipher}", "--seed", "{seed}", "--dims", "0x5"], None, 3),
     (["decrypt", "--in", "{cipher}", "--seed", "{seed}", "--dims", "3x3"], None, 3),
+    (["encrypt", "--in", "{pbm}", "--seed", "{seed}"], b"P1\n1_0 1\n1111111111\n", 4),
+    (["encrypt", "--in", "{pbm}", "--seed", "{seed}"], b"P1\n+2 1\n10\n", 4),
+    (["decrypt", "--in", "{cipher}", "--seed", "{seed}", "--dims", "1_0x10"], None, 3),
+    (["decrypt", "--in", "{cipher}", "--seed", "{seed}", "--dims", "+10x10"], None, 3),
+    (["decrypt", "--in", "{cipher}", "--seed", "{seed}", "--dims", "10x 10"], None, 3),
+    (["decrypt", "--in", "{cipher}", "--seed", "{seed}", "--dims", "\u0661\u0660x10"],
+     None, 3),
 ], ids=["hash_empty_bits", "hash_non_binary_bits", "encrypt_non_binary_bits",
         "pbm_pixel_2", "pbm_one_pixel_short", "pbm_zero_size", "pbm_negative_size",
-        "dims_zero", "dims_too_small"])
+        "dims_zero", "dims_too_small", "pbm_size_underscore", "pbm_size_sign",
+        "dims_underscore", "dims_sign", "dims_space", "dims_non_ascii_digits"])
 def test_rejected_input_keeps_its_exit_code(argv, pbm, code, workspace, capsys):
     tmp_path, img_path, seed_path = workspace
     cipher_path = tmp_path / "cipher.json"

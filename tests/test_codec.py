@@ -91,6 +91,10 @@ def test_bit_image_validation():
         BitImage(0, 3, ())
     with pytest.raises(ValueError):
         BitImage(2, 2, (1, 0, 2, 0))
+    with pytest.raises(ValueError):
+        BitImage(1, 1, (1.7,))
+    with pytest.raises(ValueError):
+        BitImage(2, 1, ("1", True))
 
 
 # ---------------------------------------------------------------- glyph

@@ -58,6 +58,12 @@ def test_non_permutation_table_rejected():
     assert any("permutation" in v for v in violations)
 
 
+def test_unsupported_version_rejected():
+    for version in (0, 2, -42):
+        violations = validate_seed(SeedSpec(version, IDENTITY_TABLE, ()))
+        assert any("version" in v for v in violations)
+
+
 def test_non_classical_gate_rejected():
     seed = SeedSpec(1, IDENTITY_TABLE, (h(0),))
     violations = validate_seed(seed)
@@ -242,6 +248,8 @@ def test_ciphertext_invariants_enforced():
         CipherText("0011", 9)
     with pytest.raises(ValueError):
         CipherText("0a11", 4)
+    with pytest.raises(ValueError):
+        CipherText("", -3)
 
 
 # ---------------------------------------------------------------- bit oracle

@@ -382,6 +382,22 @@ def test_noisy_sample_depolarizing_is_deterministic_per_seed():
     assert sum(a.values()) == 200
 
 
+# Counts recorded before sample and both noisy_sample branches shared one
+# sampler; they pin the seeded stream, including the readout-flip uniforms
+# drawn at q = 0.
+@pytest.mark.parametrize("p, q, expected", [
+    (0.1, 0.0, {0: 8, 2: 16, 3: 7, 4: 17, 5: 6, 6: 2, 7: 4}),
+    (0.1, 0.05, {0: 9, 1: 1, 2: 14, 3: 6, 4: 15, 5: 7, 6: 3, 7: 5}),
+    (0.0, 0.05, {0: 1, 2: 22, 3: 2, 4: 28, 5: 6, 7: 1}),
+    (0.0, 0.0, {2: 21, 3: 3, 4: 29, 5: 7}),
+])
+def test_noisy_sample_stream_is_pinned(p, q, expected):
+    c = Circuit(3, (h(0), cx(0, 1), rx(0.7, 2), ccx(0, 1, 2), swap(0, 2)))
+    counts = noisy_sample(c, 2, 60, NoiseModel(p, q), rng_seed=13)
+    assert counts == expected
+    assert list(counts) == sorted(counts)
+
+
 def test_noisy_sample_rejects_zero_shots():
     with pytest.raises(ValueError):
         noisy_sample(Circuit(1, (x(0),)), 0, 0, NoiseModel(), rng_seed=0)
