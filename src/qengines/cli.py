@@ -152,17 +152,14 @@ def _cmd_decrypt(args: argparse.Namespace) -> int:
     seed = _load_seed(args.seed)
     ct = codec.cipher_from_json(Path(args.infile).read_bytes())
     bits = qaes.decrypt(ct, seed)
+    text = bits + "\n"
     if args.dims:
         sizes = args.dims.lower().split("x")
         if len(sizes) != 2 or not all(v.isascii() and v.isdigit() for v in sizes):
             raise ValueError(f"bad --dims {args.dims!r}, expected WxH in digits")
         img = codec.bits_to_image(bits, int(sizes[0]), int(sizes[1]))
-        if args.output:
-            _write_atomic(args.output, codec.write_pbm(img))
-        else:
-            sys.stdout.write(codec.write_pbm(img).decode("ascii"))
-    else:
-        _emit(bits + "\n", args.output)
+        text = codec.write_pbm(img).decode("ascii")
+    _emit(text, args.output)
     return EXIT_OK
 
 
@@ -238,10 +235,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 
 from .qaes import CipherText, SeedSpec
-from .sim import GateOp
+from .sim import GateOp, _integer
 
 
 class ParseError(ValueError):
@@ -27,6 +27,8 @@ class BitImage:
     pixels: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        for name in ("width", "height"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.width < 1 or self.height < 1:
             raise ValueError("image dimensions must be positive")
         object.__setattr__(self, "pixels", tuple(self.pixels))

@@ -38,7 +38,7 @@ class MetricsReport:
     collision_rate: float
     chi_squared: float
     p_value: float
-    avalanche_mean: float | None = None
+    avalanche_mean: float
 
 
 def bucket_histogram(hashes: Sequence[str], n_qubits: int) -> BucketHistogram:
@@ -238,10 +238,6 @@ def summary_csv(reports: Sequence[MetricsReport]) -> str:
     """Render report rows under the fixed header
     ``total,collision_rate,chi_squared,p_value,avalanche``."""
     lines = ["total,collision_rate,chi_squared,p_value,avalanche"]
-    for r in reports:
-        avalanche = "" if r.avalanche_mean is None else repr(r.avalanche_mean)
-        lines.append(
-            f"{r.histogram.total},{r.collision_rate!r},{r.chi_squared!r},"
-            f"{r.p_value!r},{avalanche}"
-        )
+    lines += [f"{r.histogram.total},{r.collision_rate!r},{r.chi_squared!r},"
+              f"{r.p_value!r},{r.avalanche_mean!r}" for r in reports]
     return "\n".join(lines) + "\n"

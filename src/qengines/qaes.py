@@ -4,10 +4,11 @@ The shared secret is a self-inverse 16-entry substitution table plus a
 list of classical reversible gates (X, CX, CCX, SWAP) acting on a 4-qubit
 register.  Encryption runs each chunk through SubBytes, then the gate
 list, then a position-dependent left rotation.  Each call runs the gates
-on the simulator once per 4-bit basis state, folds the three steps into
-a 4x16 table with one row per chunk position mod 4, and looks each chunk
-up in it; decryption uses the row-wise inverse table.  There is no round
-key: whoever holds the seed can decrypt.
+on the simulator once per 4-bit basis state, builds a 4x16 table from the
+stage functions sub_bytes, the mixing permutation and shift_chunk, with
+one row per chunk index mod 4, and looks each chunk up in it; decryption
+uses the row-wise inverse table.  There is no round key: whoever holds
+the seed can decrypt.
 """
 
 from __future__ import annotations
@@ -139,18 +140,12 @@ def mix_chunk(nibble: int, mix_gates: tuple[GateOp, ...]) -> int:
     return out
 
 
-def _rotl4(value: int, amount: int) -> int:
-    amount %= CHUNK_BITS
-    if amount == 0:
-        return value
-    return ((value << amount) | (value >> (CHUNK_BITS - amount))) & (TABLE_SIZE - 1)
-
-
 def shift_chunk(nibble: int, position: int) -> int:
     """Left-rotate a chunk by (position mod 4) bit positions; 0 leaves it."""
     if position < 1:
         raise ValueError(f"position is 1-based, got {position}")
-    return _rotl4(nibble, position % CHUNK_BITS)
+    r = position % CHUNK_BITS
+    return ((nibble << r) | (nibble >> (CHUNK_BITS - r))) & (TABLE_SIZE - 1)
 
 
 def _pad_bits(bits: str) -> str:
@@ -162,17 +157,17 @@ def _pad_bits(bits: str) -> str:
 
 
 def _chunk_tables(seed: SeedSpec) -> list[list[int]]:
-    """T[r][v] = rotl4(mix[sub[v]], r); row r serves 1-based positions = r mod 4."""
+    """Row i maps a chunk value to its ciphertext at each 0-based index k = i mod 4."""
     _require_structure(seed)
     mix = MixPermutation.from_gates(seed.mix_gates).map
-    return [[_rotl4(mix[seed.sub_table[v]], r) for v in range(TABLE_SIZE)]
-            for r in range(CHUNK_BITS)]
+    return [[shift_chunk(mix[sub_bytes(v, seed.sub_table)], i + 1)
+             for v in range(TABLE_SIZE)] for i in range(CHUNK_BITS)]
 
 
 def _look_up_chunks(bits: str, tables: list[list[int]]) -> str:
     chunks = [int(bits[k:k + CHUNK_BITS], 2) for k in range(0, len(bits), CHUNK_BITS)]
-    return "".join(format(tables[pos % CHUNK_BITS][v], f"0{CHUNK_BITS}b")
-                   for pos, v in enumerate(chunks, start=1))
+    return "".join(format(tables[i % CHUNK_BITS][v], f"0{CHUNK_BITS}b")
+                   for i, v in enumerate(chunks))
 
 
 def encrypt(bits: str, seed: SeedSpec) -> CipherText:
@@ -221,7 +216,7 @@ def classical_oracle_encrypt(bits: str, seed: SeedSpec) -> str:
         value = seed.sub_table[value]
         for g in seed.mix_gates:
             value = _classical_gate(value, g)
-        value = _rotl4(value, pos % CHUNK_BITS)
+        value = ((value << pos % 4) | (value >> (4 - pos % 4))) & 0xF
         out.append(format(value, f"0{CHUNK_BITS}b"))
     return "".join(out)
 

@@ -14,11 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .sim import (
     MAX_QUBITS,
     Circuit,
     GateOp,
     NoiseModel,
+    _integer,
     cx,
     format_bits,
     h,
@@ -33,7 +36,7 @@ TEMPLATES = ("PQC1", "PQC2", "PQC3", "PQC4", "PQC5")
 MODE_EXACT = "exact"
 MODE_SAMPLED = "sampled"
 
-# Exact-mode probabilities this close to the maximum count as tied with it.
+# Outcome weights this close to the maximum count as tied with it.
 _TIE_TOLERANCE = 1e-12
 
 
@@ -55,6 +58,8 @@ class HashConfig:
     def __post_init__(self) -> None:
         if self.template not in TEMPLATES:
             raise ValueError(f"unknown template {self.template!r}")
+        for name in ("n_qubits", "shots", "rng_seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if not 1 <= self.n_qubits <= MAX_QUBITS:
             raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
         for name in ("theta1", "phi1", "theta2", "phi2"):
@@ -147,20 +152,18 @@ def build_hash_circuit(input_bits: str, cfg: HashConfig) -> Circuit:
 def hash_bits(input_bits: str, cfg: HashConfig) -> str:
     """Hash a bitstring to an n_qubits-wide output.
 
-    Exact mode takes the argmax of the final state's probabilities;
-    sampled mode takes the argmax of noisy shot counts.  Ties break toward
-    the smallest basis index; in exact mode probabilities within 1e-12 of
-    the maximum are ties, so rounding noise does not pick the winner.
+    Each outcome is weighted by its probability in exact mode and by its
+    noisy shot count in sampled mode.  The hash is the smallest basis index
+    whose weight is within 1e-12 of the maximum, so ties break toward it
+    and rounding noise does not pick the winner.
     """
     circuit = build_hash_circuit(input_bits, cfg)
     if cfg.mode == MODE_EXACT:
-        p = probabilities(run_circuit(circuit, 0))
-        index = int((p >= p.max() - _TIE_TOLERANCE).argmax())
+        w = probabilities(run_circuit(circuit, 0))
     else:
         counts = noisy_sample(circuit, 0, cfg.shots, cfg.noise, cfg.rng_seed)
-        best = max(counts.values())
-        index = min(k for k, v in counts.items() if v == best)
-    return format_bits(index, cfg.n_qubits)
+        w = np.bincount(list(counts), weights=list(counts.values()))
+    return format_bits(int((w >= w.max() - _TIE_TOLERANCE).argmax()), cfg.n_qubits)
 
 
 def hash_batch(inputs: list[str], cfg: HashConfig) -> list[str]:

@@ -45,6 +45,13 @@ def _rx(theta: float) -> np.ndarray:
     return _frozen([[c, -1.0j * s], [-1.0j * s, c]])
 
 
+def _integer(value: object, name: str) -> int:
+    # An integer field as a plain int: NumPy ints pass, bools and floats do not.
+    if type(value) is int or isinstance(value, np.integer):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GateOp:
     """One named gate: kind, qubit indices (controls first), optional angle."""
@@ -56,7 +63,7 @@ class GateOp:
     def __post_init__(self) -> None:
         if self.kind not in GATE_ARITY:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
+        object.__setattr__(self, "qubits", tuple(_integer(q, "qubit") for q in self.qubits))
         arity = GATE_ARITY[self.kind]
         if len(self.qubits) != arity:
             raise ValueError(

@@ -324,6 +324,19 @@ def test_unsupported_seed_version_is_validation_error(tmp_path, capsys):
     assert "unsupported seed version -42" in capsys.readouterr().err
 
 
+def test_decrypt_dims_stdout_matches_output_file(workspace, capsys):
+    tmp_path, img_path, seed_path = workspace
+    cipher_path = tmp_path / "cipher.json"
+    restored_path = tmp_path / "restored.pbm"
+    assert main(["encrypt", "--in", str(img_path), "--seed", str(seed_path),
+                 "--output", str(cipher_path)]) == 0
+    argv = ["decrypt", "--in", str(cipher_path), "--seed", str(seed_path),
+            "--dims", "10x10"]
+    assert run_ok(argv + ["--output", str(restored_path)], capsys) == ""
+    stdout = run_ok(argv, capsys).encode("ascii")
+    assert stdout == restored_path.read_bytes() == img_path.read_bytes()
+
+
 def test_bad_dims_is_validation_error(workspace, capsys):
     tmp_path, img_path, seed_path = workspace
     cipher_path = tmp_path / "cipher.json"

@@ -95,6 +95,13 @@ def test_bit_image_validation():
         BitImage(1, 1, (1.7,))
     with pytest.raises(ValueError):
         BitImage(2, 1, ("1", True))
+    with pytest.raises(ValueError):
+        BitImage(True, True, (1,))
+    with pytest.raises(ValueError):
+        BitImage(2.0, 1, (1, 0))
+    image = BitImage(np.int64(2), np.uint8(1), (1, 0))
+    assert (type(image.width), type(image.height)) == (int, int)
+    assert write_pbm(image) == b"P1\n2 1\n1 0\n"
 
 
 # ---------------------------------------------------------------- glyph

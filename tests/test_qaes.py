@@ -289,10 +289,23 @@ def test_oracle_never_runs_the_simulator(monkeypatch):
     expected = encrypt(bits, seed).bits
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the oracle ran the simulator")
+        raise AssertionError("the oracle ran the simulator or a cipher stage")
 
-    monkeypatch.setattr(qaes, "run_circuit", refuse)
+    for name in ("run_circuit", "sub_bytes", "shift_chunk", "mix_chunk"):
+        monkeypatch.setattr(qaes, name, refuse)
     assert classical_oracle_encrypt(bits, seed) == expected
+
+
+@pytest.mark.parametrize("rng_seed", [0, 3, 17, 42])
+def test_encrypt_runs_each_chunk_through_the_three_stages(rng_seed):
+    seed = keygen(rng_seed)
+    for v in range(16):
+        # Position pos holds (v + pos) mod 16, so each value meets positions 1-8.
+        values = [(v + pos) % 16 for pos in range(1, 9)]
+        ct = encrypt("".join(format(c, "04b") for c in values), seed).bits
+        for pos, c in enumerate(values, start=1):
+            stages = shift_chunk(mix_chunk(sub_bytes(c, seed.sub_table), seed.mix_gates), pos)
+            assert int(ct[4 * (pos - 1):4 * pos], 2) == stages, (v, pos)
 
 
 @settings(max_examples=50, deadline=None)

@@ -13,6 +13,7 @@ from qengines import (
     circuit_unitary,
     hash_batch,
     hash_bits,
+    noisy_sample,
     to_bitstring,
 )
 
@@ -104,6 +105,13 @@ def test_bad_config_rejected():
         HashConfig("PQC1", mode="fuzzy")
     with pytest.raises(ValueError):
         HashConfig("PQC1", mode="sampled", shots=0)
+    with pytest.raises(ValueError):
+        HashConfig("PQC3", n_qubits=True)
+    with pytest.raises(ValueError):
+        HashConfig("PQC3", n_qubits=4.0)
+    with pytest.raises(ValueError):
+        HashConfig("PQC3", mode="sampled", shots=2.5)
+    assert HashConfig("PQC3", n_qubits=np.int64(4)) == HashConfig("PQC3")
 
 
 def test_no_noise_has_one_spelling():
@@ -249,6 +257,24 @@ def test_sampled_mode_reproducible_per_seed():
     a = [hash_bits(b, cfg) for b in ALL_8BIT[:16]]
     b = [hash_bits(bb, cfg) for bb in ALL_8BIT[:16]]
     assert a == b
+
+
+def test_sampled_ties_break_to_smallest_index():
+    # PQC1 puts Hadamards on every qubit, so a few shots often tie.
+    ties = 0
+    for shots in (1, 2, 3, 4):
+        for noise in (NoiseModel(), NoiseModel(0.0, 0.3)):
+            for rng_seed in range(4):
+                cfg = HashConfig("PQC1", mode="sampled", shots=shots,
+                                 rng_seed=rng_seed, noise=noise)
+                for bits in ALL_8BIT[:8]:
+                    counts = noisy_sample(build_hash_circuit(bits, cfg), 0, shots,
+                                          noise, rng_seed)
+                    best = max(counts.values())
+                    tied = [k for k, v in counts.items() if v == best]
+                    ties += len(tied) > 1
+                    assert hash_bits(bits, cfg) == format(min(tied), "04b")
+    assert ties > 0
 
 
 def test_sampled_mode_noiseless_matches_exact():

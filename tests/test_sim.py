@@ -103,6 +103,13 @@ def test_malformed_gates_rejected():
         GateOp("X", (0,), angle=1.0)
     with pytest.raises(ValueError):
         GateOp("ZZ", (0,))
+    with pytest.raises(ValueError):
+        GateOp("X", (1.7,))
+    with pytest.raises(ValueError):
+        cx(0.9, 1.2)
+    with pytest.raises(ValueError):
+        GateOp("X", (True,))
+    assert GateOp("CX", (np.int64(0), np.uint8(3))).qubits == (0, 3)
 
 
 @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
