@@ -37,7 +37,7 @@ def _write_atomic(path: str | Path, data: bytes) -> None:
         raise
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(text: str, output: str | Path | None) -> None:
     if output:
         _write_atomic(output, text.encode("ascii"))
     else:
@@ -100,23 +100,21 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     cfg = _hash_config(args)
     results = metrics.batch_sweep(cfg, sizes, input_width=args.input_width)
     summary = metrics.summary_csv([report for _, report in results])
+    hists = [(size, metrics.histogram_csv(report.histogram)) for size, report in results]
     if args.output:
         out = Path(args.output)
-        _write_atomic(out, summary.encode("ascii"))
-        for size, report in results:
-            hist_path = out.with_name(f"{out.stem}_hist_{size}{out.suffix or '.csv'}")
-            _write_atomic(hist_path, metrics.histogram_csv(report.histogram).encode("ascii"))
+        _emit(summary, out)
+        for size, text in hists:
+            _emit(text, out.with_name(f"{out.stem}_hist_{size}{out.suffix or '.csv'}"))
     else:
-        sys.stdout.write(summary)
-        for size, report in results:
-            sys.stdout.write(f"# histogram batch={size}\n")
-            sys.stdout.write(metrics.histogram_csv(report.histogram))
+        stdout = summary + "".join(f"# histogram batch={size}\n{text}" for size, text in hists)
+        _emit(stdout, None)
     return EXIT_OK
 
 
 def _cmd_keygen(args: argparse.Namespace) -> int:
     seed = qaes.keygen(args.rng_seed, n_mix_gates=args.gates)
-    _write_atomic(args.output or "seed.json", codec.seed_to_json(seed).encode("ascii"))
+    _emit(codec.seed_to_json(seed), args.output or "seed.json")
     return EXIT_OK
 
 
@@ -139,12 +137,12 @@ def _cmd_encrypt(args: argparse.Namespace) -> int:
         image = codec.read_pbm(Path(args.infile).read_bytes())
         bits = codec.image_to_bits(image)
     ct = qaes.encrypt(bits, seed)
-    _write_atomic(args.output or "cipher.json", codec.cipher_to_json(ct).encode("ascii"))
+    _emit(codec.cipher_to_json(ct), args.output or "cipher.json")
     if args.preview:
         span = image.width * image.height
         padded = ct.bits[:span].ljust(span, "0")
         preview = codec.bits_to_image(padded, image.width, image.height)
-        _write_atomic(args.preview, codec.write_pbm(preview))
+        _emit(codec.write_pbm(preview).decode("ascii"), args.preview)
     return EXIT_OK
 
 

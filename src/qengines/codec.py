@@ -29,6 +29,7 @@ class BitImage:
     def __post_init__(self) -> None:
         for name in ("width", "height"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
+        # Kept apart from _integer's lo bound: test_codec and test_cli pin this message.
         if self.width < 1 or self.height < 1:
             raise ValueError("image dimensions must be positive")
         object.__setattr__(self, "pixels", tuple(self.pixels))

@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .qhash import HashConfig, hash_batch, to_bitstring
+from .sim import _integer
 
 _EPS = 1e-16
 _MAX_ITER = 10_000
@@ -30,6 +31,12 @@ class BucketHistogram:
     n_qubits: int
     counts: np.ndarray
     total: int
+
+    def __post_init__(self) -> None:
+        self.n_qubits = _integer(self.n_qubits, "n_qubits")
+        if self.counts.shape != (1 << self.n_qubits,) or self.total != self.counts.sum():
+            raise ValueError(f"{self.n_qubits}-qubit histogram needs {1 << self.n_qubits} "
+                             f"counts summing to total {self.total}")
 
 
 @dataclass
@@ -116,8 +123,7 @@ def regularized_gamma_q(a: float, x: float) -> float:
 
 def chi_squared_survival(x: float, df: int) -> float:
     """P(X >= x) for a chi-squared variable with df degrees of freedom."""
-    if df < 1:
-        raise ValueError(f"df must be >= 1, got {df}")
+    df = _integer(df, "df", 1)
     if x <= 0.0:
         return 1.0
     return min(1.0, max(0.0, regularized_gamma_q(df / 2.0, x / 2.0)))
@@ -188,8 +194,8 @@ def avalanche_score(cfg: HashConfig, inputs: Sequence[str]) -> float:
 
 def _report(cfg: HashConfig, size: int, input_width: int,
             table: dict[str, str]) -> MetricsReport:
-    if size < 1:
-        raise ValueError(f"batch size must be >= 1, got {size}")
+    size = _integer(size, "batch size", 1)
+    # Compared by hand: test_input_width_is_required expects TypeError for None.
     if input_width < 1:
         raise ValueError(f"input_width must be >= 1, got {input_width}")
     if size > (1 << input_width):

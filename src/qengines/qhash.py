@@ -58,17 +58,15 @@ class HashConfig:
     def __post_init__(self) -> None:
         if self.template not in TEMPLATES:
             raise ValueError(f"unknown template {self.template!r}")
-        for name in ("n_qubits", "shots", "rng_seed"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}")
+        # shots is only drawn from, and so only bounded, in sampled mode.
+        for name, lo, hi in (("n_qubits", 1, MAX_QUBITS), ("rng_seed", None, None),
+                             ("shots", 1 if self.mode == MODE_SAMPLED else None, None)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, lo, hi))
         for name in ("theta1", "phi1", "theta2", "phi2"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.mode not in (MODE_EXACT, MODE_SAMPLED):
             raise ValueError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
-        if self.mode == MODE_SAMPLED and self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
 
 
 def to_bitstring(data: bytes | int, width: int) -> str:
@@ -78,16 +76,13 @@ def to_bitstring(data: bytes | int, width: int) -> str:
     concatenated most significant bit first, then left-padded.  Values that
     do not fit in width bits raise ValueError.
     """
-    if width < 1:
-        raise ValueError(f"width must be >= 1, got {width}")
+    width = _integer(width, "width", 1)
     if isinstance(data, (bytes, bytearray)):
         bits = "".join(format(b, "08b") for b in data)
         if len(bits) > width:
             raise ValueError(f"{len(data)} bytes do not fit in {width} bits")
         return bits.rjust(width, "0")
-    value = int(data)
-    if value < 0:
-        raise ValueError(f"value must be non-negative, got {value}")
+    value = _integer(data, "data", 0)
     if value.bit_length() > width:
         raise ValueError(f"{value} does not fit in {width} bits")
     return format(value, f"0{width}b")

@@ -45,11 +45,20 @@ def _rx(theta: float) -> np.ndarray:
     return _frozen([[c, -1.0j * s], [-1.0j * s, c]])
 
 
-def _integer(value: object, name: str) -> int:
-    # An integer field as a plain int: NumPy ints pass, bools and floats do not.
-    if type(value) is int or isinstance(value, np.integer):
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+def _integer(value: object, name: str, lo: int | None = None,
+             hi: int | None = None) -> int:
+    """Return an integer argument as a plain int, or raise ValueError.
+
+    NumPy ints pass, bools and floats do not; lo and hi are inclusive bounds.
+    """
+    if type(value) is not int and not isinstance(value, np.integer):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if hi is not None and not lo <= value <= hi:
+        raise ValueError(f"{name} must be in [{lo}, {hi}], got {value}")
+    if lo is not None and value < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -63,7 +72,7 @@ class GateOp:
     def __post_init__(self) -> None:
         if self.kind not in GATE_ARITY:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        object.__setattr__(self, "qubits", tuple(_integer(q, "qubit") for q in self.qubits))
+        object.__setattr__(self, "qubits", tuple(_integer(q, "qubit", 0) for q in self.qubits))
         arity = GATE_ARITY[self.kind]
         if len(self.qubits) != arity:
             raise ValueError(
@@ -71,8 +80,6 @@ class GateOp:
             )
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"{self.kind} qubits must be distinct: {self.qubits}")
-        if any(q < 0 for q in self.qubits):
-            raise ValueError(f"negative qubit index in {self.qubits}")
         if self.kind == "RX":
             if self.angle is None:
                 raise ValueError("RX requires an angle")
@@ -114,10 +121,8 @@ class Circuit:
     ops: tuple[GateOp, ...] = ()
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ValueError(
-                f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}"
-            )
+        n = _integer(self.n_qubits, "n_qubits", 1, MAX_QUBITS)
+        object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "ops", tuple(self.ops))
         for op in self.ops:
             if not isinstance(op, GateOp):
@@ -155,8 +160,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}]")
+        self.n_qubits = _integer(self.n_qubits, "n_qubits", 1, MAX_QUBITS)
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
         if self.amplitudes.shape != (1 << self.n_qubits,):
             raise ValueError(
@@ -165,13 +169,9 @@ class StateVector:
 
     @classmethod
     def basis(cls, n_qubits: int, index: int = 0) -> "StateVector":
-        if not 1 <= n_qubits <= MAX_QUBITS:
-            raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}]")
-        dim = 1 << n_qubits
-        if not 0 <= index < dim:
-            raise ValueError(f"basis index {index} out of range for {n_qubits} qubits")
+        dim = 1 << _integer(n_qubits, "n_qubits", 1, MAX_QUBITS)
         amps = np.zeros(dim, dtype=complex)
-        amps[index] = 1.0
+        amps[_integer(index, "basis index", 0, dim - 1)] = 1.0
         return cls(n_qubits, amps)
 
     def norm(self) -> float:
@@ -257,8 +257,7 @@ def sample(s: StateVector, shots: int, rng_seed: int) -> dict[int, int]:
     Deterministic for a fixed rng_seed; the returned map contains only
     outcomes with nonzero counts and its values sum to shots.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    shots = _integer(shots, "shots", 1)
     return _counts(_draw(probabilities(s), shots, 0.0, np.random.default_rng(rng_seed)))
 
 
@@ -323,8 +322,7 @@ def noisy_sample(c: Circuit, initial: int, shots: int, noise: NoiseModel,
     one noiseless run serves every shot.  Each outcome then has each bit
     flipped with probability readout_flip_q.  Deterministic per rng_seed.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    shots = _integer(shots, "shots", 1)
     if not isinstance(noise, NoiseModel):
         raise TypeError(f"noise must be a NoiseModel, got {type(noise).__name__}")
     rng = np.random.default_rng(rng_seed)

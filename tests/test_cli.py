@@ -374,10 +374,15 @@ def test_keygen_negative_gate_count_is_validation_error(tmp_path, capsys):
     (["decrypt", "--in", "{cipher}", "--seed", "{seed}", "--dims", "10x 10"], None, 3),
     (["decrypt", "--in", "{cipher}", "--seed", "{seed}", "--dims", "\u0661\u0660x10"],
      None, 3),
+    (["hash", "--input", "hex:zz", "--template", "PQC4"], None, 3),
+    (["hash", "--input", "file:{pbm}", "--template", "PQC4"], b"", 3),
+    (["hash", "--input", "bits:0110", "--template", "PQC4", "--noise", "0.1"], None, 3),
+    (["eval", "--template", "PQC4", "--batch-sizes", ","], None, 3),
 ], ids=["hash_empty_bits", "hash_non_binary_bits", "encrypt_non_binary_bits",
         "pbm_pixel_2", "pbm_one_pixel_short", "pbm_zero_size", "pbm_negative_size",
         "dims_zero", "dims_too_small", "pbm_size_underscore", "pbm_size_sign",
-        "dims_underscore", "dims_sign", "dims_space", "dims_non_ascii_digits"])
+        "dims_underscore", "dims_sign", "dims_space", "dims_non_ascii_digits",
+        "hash_bad_hex", "hash_empty_file", "noise_one_value", "eval_no_batch_sizes"])
 def test_rejected_input_keeps_its_exit_code(argv, pbm, code, workspace, capsys):
     tmp_path, img_path, seed_path = workspace
     cipher_path = tmp_path / "cipher.json"

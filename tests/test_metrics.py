@@ -61,6 +61,13 @@ def test_bucket_histogram_rejects_wrong_width():
         bucket_histogram(["000"], 4)
 
 
+def test_bucket_histogram_fields_must_agree():
+    with pytest.raises(ValueError):
+        BucketHistogram(2, np.array([1, 2, 3, 4]), 5)
+    with pytest.raises(ValueError):
+        BucketHistogram(3, np.array([1, 2, 3, 4]), 10)
+
+
 # ---------------------------------------------------------------- collision rate
 
 def test_collision_rate_uniform_closed_form():

@@ -338,6 +338,21 @@ def test_keygen_gate_count_configurable():
     assert len(keygen(5, n_mix_gates=3).mix_gates) == 3
 
 
+def test_keygen_runs_no_simulation(monkeypatch):
+    # Only a seed whose table is the identity needs its mix derived.
+    calls = []
+    real_run_circuit = qaes.run_circuit
+
+    def counting_run_circuit(*args, **kwargs):
+        calls.append(args)
+        return real_run_circuit(*args, **kwargs)
+
+    monkeypatch.setattr(qaes, "run_circuit", counting_run_circuit)
+    for s in range(20):
+        keygen(s)
+    assert calls == []
+
+
 # ---------------------------------------------------------------- diffusion
 
 def test_cipher_differs_from_plaintext():

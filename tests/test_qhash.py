@@ -11,6 +11,7 @@ from qengines import (
     TEMPLATES,
     build_hash_circuit,
     circuit_unitary,
+    entangler_ops,
     hash_batch,
     hash_bits,
     noisy_sample,
@@ -99,6 +100,8 @@ def test_empty_input_rejected():
 def test_bad_config_rejected():
     with pytest.raises(ValueError):
         HashConfig("PQC9")
+    with pytest.raises(ValueError):
+        entangler_ops("PQC9", 4)
     with pytest.raises(ValueError):
         HashConfig("PQC1", n_qubits=9)
     with pytest.raises(ValueError):

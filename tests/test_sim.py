@@ -109,6 +109,8 @@ def test_malformed_gates_rejected():
         cx(0.9, 1.2)
     with pytest.raises(ValueError):
         GateOp("X", (True,))
+    with pytest.raises(ValueError):
+        Circuit(2, (("X", (0,)),))
     assert GateOp("CX", (np.int64(0), np.uint8(3))).qubits == (0, 3)
 
 
@@ -150,6 +152,8 @@ def test_ccx_needs_both_controls():
 def test_apply_gate_rejects_out_of_range():
     with pytest.raises(ValueError):
         apply_gate(StateVector.basis(2, 0), x(5))
+    with pytest.raises(ValueError):
+        Circuit(2, (x(5),))
 
 
 def test_run_empty_circuit():
@@ -172,6 +176,8 @@ def test_rx_full_turn_is_global_phase():
 def test_run_rejects_bad_initial():
     with pytest.raises(ValueError):
         run_circuit(Circuit(2), 4)
+    with pytest.raises(ValueError):
+        StateVector(2, np.zeros(3))
 
 
 # ---------------------------------------------------------------- probabilities
