@@ -7,6 +7,7 @@ Angle flags are given in units of pi, so ``--theta1 1.0`` means pi radians.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -94,7 +95,10 @@ def _cmd_hash(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    sizes = [int(s) for s in args.batch_sizes.split(",") if s]
+    items = [s for s in args.batch_sizes.split(",") if s]
+    if not all(s.isascii() and s.isdigit() for s in items):
+        raise ValueError(f"bad --batch-sizes {args.batch_sizes!r}, expected digits")
+    sizes = [int(s) for s in items]
     if not sizes:
         raise ValueError("no batch sizes given")
     cfg = _hash_config(args)
@@ -176,7 +180,9 @@ def _add_hash_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--noise", default="0,0", help="depolarizing,readout as 'p,q'")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args keeps no state."""
     parser = argparse.ArgumentParser(
         prog="qengines",
         description="Circuit-based hashing, hash quality metrics, and a "

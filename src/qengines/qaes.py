@@ -3,12 +3,12 @@
 The shared secret is a self-inverse 16-entry substitution table plus a
 list of classical reversible gates (X, CX, CCX, SWAP) acting on a 4-qubit
 register.  Encryption runs each chunk through SubBytes, then the gate
-list, then a position-dependent left rotation.  Each call runs the gates
-on the simulator once per 4-bit basis state, builds a 4x16 table from the
-stage functions sub_bytes, the mixing permutation and shift_chunk, with
-one row per chunk index mod 4, and looks each chunk up in it; decryption
-uses the row-wise inverse table.  There is no round key: whoever holds
-the seed can decrypt.
+list, then a position-dependent left rotation.  Each call derives the
+gates' action in one simulator run, on the 4 system qubits of a maximally
+entangled 8-qubit state, builds a 4x16 table from the stage functions
+sub_bytes, the mixing permutation and shift_chunk, with one row per chunk
+index mod 4, and looks each chunk up in it; decryption uses the row-wise
+inverse table.  There is no round key: whoever holds the seed can decrypt.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from .sim import (
     GateOp,
     StateVector,
     _integer,
+    cx,
+    h,
     probabilities,
     run_circuit,
 )
@@ -34,6 +36,10 @@ CLASSICAL_GATE_KINDS = frozenset({"X", "CX", "CCX", "SWAP"})
 
 # The only seed format there is; keygen writes it and validate_seed requires it.
 _SEED_VERSION = 1
+
+# H on reference qubits 4-7, then CX from each onto chunk qubit 0-3: sum_v |v>|v> / 4.
+_REFERENCE_PAIRS = (tuple(h(CHUNK_BITS + q) for q in range(CHUNK_BITS))
+                    + tuple(cx(CHUNK_BITS + q, q) for q in range(CHUNK_BITS)))
 
 
 @dataclass(frozen=True)
@@ -77,7 +83,14 @@ class MixPermutation:
 
     @classmethod
     def from_gates(cls, mix_gates: tuple[GateOp, ...]) -> "MixPermutation":
-        mapping = tuple(mix_chunk(v, mix_gates) for v in range(TABLE_SIZE))
+        """One run on the Choi state sum_v |v>|v> / 4, qubits 4-7 holding v:
+        outcome 16 v + w has weight 1/16 exactly when the gates send v to w."""
+        _require_mix_gates(mix_gates)
+        state = run_circuit(Circuit(2 * CHUNK_BITS, _REFERENCE_PAIRS + tuple(mix_gates)))
+        p = probabilities(state).reshape(TABLE_SIZE, TABLE_SIZE)
+        if (p.max(axis=1) < 1.0 / TABLE_SIZE - 1e-9).any():
+            raise ValueError("mix gates did not preserve the basis state")
+        mapping = tuple(int(w) for w in p.argmax(axis=1))
         if sorted(mapping) != list(range(TABLE_SIZE)):
             raise ValueError("derived mix action is not a permutation")
         return cls(mapping)
@@ -91,6 +104,13 @@ def _mix_gate_violations(mix_gates: tuple[GateOp, ...]) -> list[str]:
     if any(max(g.qubits) >= CHUNK_BITS for g in mix_gates):
         violations.append("mix gate qubit index out of range for 4 qubits")
     return violations
+
+
+def _require_mix_gates(mix_gates: tuple[GateOp, ...]) -> None:
+    # Before any run: a gate on qubits 4-7 would act on from_gates' reference copy.
+    violations = _mix_gate_violations(mix_gates)
+    if violations:
+        raise ValueError("; ".join(violations))
 
 
 def validate_seed(seed: SeedSpec) -> list[str]:
@@ -129,9 +149,7 @@ def mix_chunk(nibble: int, mix_gates: tuple[GateOp, ...]) -> int:
     surviving basis index.
     """
     nibble = _integer(nibble, "nibble", 0, TABLE_SIZE - 1)
-    violations = _mix_gate_violations(mix_gates)
-    if violations:
-        raise ValueError("; ".join(violations))
+    _require_mix_gates(mix_gates)
     state = run_circuit(Circuit(CHUNK_BITS, mix_gates), nibble)
     p = probabilities(state)
     out = int(p.argmax())
@@ -227,7 +245,7 @@ def keygen(rng_seed: int, n_mix_gates: int = 12) -> SeedSpec:
     derived mix action happen to be identity.
     """
     n_mix_gates = _integer(n_mix_gates, "n_mix_gates", 0)
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(_integer(rng_seed, "rng_seed", 0))
     kinds = sorted(CLASSICAL_GATE_KINDS)
     while True:
         table = [-1] * TABLE_SIZE
@@ -249,7 +267,7 @@ def keygen(rng_seed: int, n_mix_gates: int = 12) -> SeedSpec:
             )
             gates.append(GateOp(kind, qubits))
         identity = tuple(range(TABLE_SIZE))
-        # The table first: deriving the mix takes 16 simulator runs.
+        # The table first: deriving the mix takes a simulator run.
         if (tuple(table) == identity
                 and MixPermutation.from_gates(tuple(gates)).map == identity):
             continue

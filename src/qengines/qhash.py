@@ -59,7 +59,7 @@ class HashConfig:
         if self.template not in TEMPLATES:
             raise ValueError(f"unknown template {self.template!r}")
         # shots is only drawn from, and so only bounded, in sampled mode.
-        for name, lo, hi in (("n_qubits", 1, MAX_QUBITS), ("rng_seed", None, None),
+        for name, lo, hi in (("n_qubits", 1, MAX_QUBITS), ("rng_seed", 0, None),
                              ("shots", 1 if self.mode == MODE_SAMPLED else None, None)):
             object.__setattr__(self, name, _integer(getattr(self, name), name, lo, hi))
         for name in ("theta1", "phi1", "theta2", "phi2"):

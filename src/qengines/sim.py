@@ -258,7 +258,8 @@ def sample(s: StateVector, shots: int, rng_seed: int) -> dict[int, int]:
     outcomes with nonzero counts and its values sum to shots.
     """
     shots = _integer(shots, "shots", 1)
-    return _counts(_draw(probabilities(s), shots, 0.0, np.random.default_rng(rng_seed)))
+    rng = np.random.default_rng(_integer(rng_seed, "rng_seed", 0))
+    return _counts(_draw(probabilities(s), shots, 0.0, rng))
 
 
 def _embed(mat: np.ndarray, qubits: tuple[int, ...], n_qubits: int) -> np.ndarray:
@@ -325,7 +326,7 @@ def noisy_sample(c: Circuit, initial: int, shots: int, noise: NoiseModel,
     shots = _integer(shots, "shots", 1)
     if not isinstance(noise, NoiseModel):
         raise TypeError(f"noise must be a NoiseModel, got {type(noise).__name__}")
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(_integer(rng_seed, "rng_seed", 0))
     p = noise.depolarizing_p
     runs, per_run = (shots, 1) if p > 0.0 else (1, shots)
     outcomes = []

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qengines import LETTER_A, qaes, validate_seed, seed_from_json, write_pbm
-from qengines.cli import main
+from qengines.cli import build_parser, main
 
 
 def run_ok(argv, capsys):
@@ -202,7 +202,7 @@ def test_encrypt_decrypt_image_round_trip(workspace):
 
 
 def test_cli_cipher_derives_the_mix_permutation_once(workspace, monkeypatch):
-    # One derivation is 16 simulator runs, one per 4-bit basis state.
+    # One derivation is one simulator run, for all 16 basis states at once.
     tmp_path, img_path, seed_path = workspace
     cipher_path = tmp_path / "cipher.json"
     calls = []
@@ -215,11 +215,47 @@ def test_cli_cipher_derives_the_mix_permutation_once(workspace, monkeypatch):
     monkeypatch.setattr(qaes, "run_circuit", counting_run_circuit)
     assert main(["encrypt", "--in", str(img_path), "--seed", str(seed_path),
                  "--output", str(cipher_path)]) == 0
-    assert len(calls) == 16
+    assert len(calls) == 1
     calls.clear()
     assert main(["decrypt", "--in", str(cipher_path), "--seed", str(seed_path),
                  "--dims", "10x10", "--output", str(tmp_path / "r.pbm")]) == 0
-    assert len(calls) == 16
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------- one parser per process
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_usage_error_leaves_the_parser_usable(workspace, capsys):
+    tmp_path, img_path, seed_path = workspace
+    with pytest.raises(SystemExit) as exc:
+        main(["encrypt", "--seed", str(seed_path)])
+    assert exc.value.code == 2
+    cipher_path = tmp_path / "cipher.json"
+    assert main(["encrypt", "--in", str(img_path), "--seed", str(seed_path),
+                 "--output", str(cipher_path)]) == 0
+    assert cipher_path.exists()
+
+
+def test_preview_flag_does_not_carry_over(workspace):
+    tmp_path, img_path, seed_path = workspace
+    preview_path = tmp_path / "preview.pbm"
+    argv = ["encrypt", "--in", str(img_path), "--seed", str(seed_path),
+            "--output", str(tmp_path / "cipher.json")]
+    assert main(argv + ["--preview", str(preview_path)]) == 0
+    preview_path.unlink()
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == 0
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_output_flag_does_not_carry_over(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["keygen", "--rng-seed", "5", "--output", "other.json"]) == 0
+    assert main(["keygen", "--rng-seed", "5"]) == 0
+    assert (tmp_path / "seed.json").read_bytes() == (tmp_path / "other.json").read_bytes()
 
 
 def test_encrypt_preview_is_scrambled(workspace):
@@ -355,6 +391,13 @@ def test_keygen_negative_gate_count_is_validation_error(tmp_path, capsys):
     assert not path.exists()
 
 
+def test_keygen_negative_rng_seed_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "seed.json"
+    assert main(["keygen", "--rng-seed", "-1", "--output", str(path)]) == 3
+    assert "rng_seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not path.exists()
+
+
 # Each rule below is checked only where the data takes its type (BitImage,
 # the hash and cipher input checks); the CLI must keep the exit code.
 @pytest.mark.parametrize("argv, pbm, code", [
@@ -378,11 +421,15 @@ def test_keygen_negative_gate_count_is_validation_error(tmp_path, capsys):
     (["hash", "--input", "file:{pbm}", "--template", "PQC4"], b"", 3),
     (["hash", "--input", "bits:0110", "--template", "PQC4", "--noise", "0.1"], None, 3),
     (["eval", "--template", "PQC4", "--batch-sizes", ","], None, 3),
+    (["eval", "--template", "PQC4", "--batch-sizes", "1_6"], None, 3),
+    (["eval", "--template", "PQC4", "--batch-sizes", "+5"], None, 3),
+    (["eval", "--template", "PQC4", "--batch-sizes", " 5"], None, 3),
 ], ids=["hash_empty_bits", "hash_non_binary_bits", "encrypt_non_binary_bits",
         "pbm_pixel_2", "pbm_one_pixel_short", "pbm_zero_size", "pbm_negative_size",
         "dims_zero", "dims_too_small", "pbm_size_underscore", "pbm_size_sign",
         "dims_underscore", "dims_sign", "dims_space", "dims_non_ascii_digits",
-        "hash_bad_hex", "hash_empty_file", "noise_one_value", "eval_no_batch_sizes"])
+        "hash_bad_hex", "hash_empty_file", "noise_one_value", "eval_no_batch_sizes",
+        "batch_size_underscore", "batch_size_sign", "batch_size_space"])
 def test_rejected_input_keeps_its_exit_code(argv, pbm, code, workspace, capsys):
     tmp_path, img_path, seed_path = workspace
     cipher_path = tmp_path / "cipher.json"

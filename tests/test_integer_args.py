@@ -40,11 +40,16 @@ SITES = [
     ("noisy_sample.initial", lambda v: noisy_sample(Circuit(1), v, 10, NoiseModel(), 0),
      "basis index", 1, (-1, 2)),
     ("sample.shots", lambda v: sample(StateVector.basis(1), v, 0), "shots", 5, (0,)),
+    ("sample.rng_seed", lambda v: sample(StateVector.basis(1), 5, v), "rng_seed", 3, (-1,)),
     ("noisy_sample.shots", lambda v: noisy_sample(Circuit(1), 0, v, NoiseModel(), 0),
      "shots", 5, (0,)),
+    ("noisy_sample.rng_seed", lambda v: noisy_sample(Circuit(1), 0, 5, NoiseModel(), v),
+     "rng_seed", 3, (-1,)),
     ("HashConfig.n_qubits", lambda v: HashConfig("PQC3", n_qubits=v), "n_qubits", 4, (0, 9)),
     ("HashConfig.shots", lambda v: HashConfig("PQC3", mode="sampled", shots=v),
      "shots", 10, (0,)),
+    ("HashConfig.rng_seed", lambda v: HashConfig("PQC3", mode="sampled", rng_seed=v),
+     "rng_seed", 3, (-1,)),
     ("to_bitstring.width", lambda v: to_bitstring(1, v), "width", 4, (0,)),
     ("to_bitstring.data", lambda v: to_bitstring(v, 4), "data", 3, (-1,)),
     ("sub_bytes.nibble", lambda v: sub_bytes(v, IDENTITY_TABLE), "nibble", 15, (-1, 16)),
@@ -52,6 +57,7 @@ SITES = [
     ("shift_chunk.nibble", lambda v: shift_chunk(v, 1), "nibble", 15, (16, 17)),
     ("shift_chunk.nibble_at_2", lambda v: shift_chunk(v, 2), "nibble", 15, (-1,)),
     ("shift_chunk.position", lambda v: shift_chunk(1, v), "position", 5, (-1, 0)),
+    ("keygen.rng_seed", lambda v: keygen(v), "rng_seed", 3, (-1,)),
     ("keygen.n_mix_gates", lambda v: keygen(0, n_mix_gates=v), "n_mix_gates", 2, (-1,)),
     ("CipherText.orig_bit_len", lambda v: CipherText("0000", v), "orig_bit_len", 4, (-1, 5)),
     ("chi_squared_survival.df", lambda v: chi_squared_survival(1.0, v), "df", 3, (0,)),

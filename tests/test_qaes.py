@@ -1,5 +1,7 @@
 """Cipher engine tests: seed validity, chunk steps, round trips, oracle."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from qengines import (
     GateOp,
     MixPermutation,
     SeedSpec,
+    ccx,
     cipher_entropy_diag,
     classical_oracle_encrypt,
     cx,
@@ -22,9 +25,11 @@ from qengines import (
     probabilities,
     qaes,
     run_circuit,
+    seed_to_json,
     shannon_entropy,
     shift_chunk,
     sub_bytes,
+    swap,
     validate_seed,
     x,
 )
@@ -118,6 +123,46 @@ def test_mix_permutation_is_bijection():
         assert sorted(perm.map) == list(range(16))
 
 
+# Any list of classical gates on the chunk's 4 qubits, controls first.
+classical_gates = st.lists(st.one_of(
+    st.builds(x, st.integers(0, 3)),
+    st.permutations(range(4)).map(lambda q: cx(q[0], q[1])),
+    st.permutations(range(4)).map(lambda q: ccx(q[0], q[1], q[2])),
+    st.permutations(range(4)).map(lambda q: swap(q[0], q[1])),
+), max_size=20).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gates=classical_gates)
+def test_mix_permutation_agrees_with_mix_chunk(gates):
+    # from_gates reads all 16 images off one entangled run; mix_chunk runs one nibble.
+    assert (MixPermutation.from_gates(gates).map
+            == tuple(mix_chunk(v, gates) for v in range(16)))
+
+
+def test_mix_permutation_agrees_with_mix_chunk_on_keygen_seeds():
+    for s in range(300):
+        gates = keygen(s).mix_gates
+        assert (MixPermutation.from_gates(gates).map
+                == tuple(mix_chunk(v, gates) for v in range(16))), s
+
+
+@pytest.mark.parametrize("gates", [(x(5),), (h(0),)], ids=["reference_qubit", "hadamard"])
+def test_mix_permutation_rejects_gates_before_simulating(gates, monkeypatch):
+    # x(5) would flip the reference copy and still read as a permutation.
+    calls = []
+    real_run_circuit = qaes.run_circuit
+
+    def counting_run_circuit(*args, **kwargs):
+        calls.append(args)
+        return real_run_circuit(*args, **kwargs)
+
+    monkeypatch.setattr(qaes, "run_circuit", counting_run_circuit)
+    with pytest.raises(ValueError):
+        MixPermutation.from_gates(gates)
+    assert calls == []
+
+
 def test_mix_inverse_composes_to_identity():
     from qengines import inverse_circuit
     for s in range(10):
@@ -208,10 +253,11 @@ def test_cipher_simulates_each_basis_state_once_per_call(n_bits, monkeypatch):
     rng = np.random.default_rng(n_bits)
     bits = "".join(str(b) for b in rng.integers(0, 2, size=n_bits))
     ct = encrypt(bits, seed)
-    assert len(calls) == 16
+    # One run derives the mix action for all 16 basis states at once.
+    assert len(calls) == 1
     calls.clear()
     assert decrypt(ct, seed) == bits
-    assert len(calls) == 16
+    assert len(calls) == 1
 
 
 def test_decrypt_inverse_of_known_cipher():
@@ -336,6 +382,26 @@ def test_keygen_distinct_across_seeds():
 
 def test_keygen_gate_count_configurable():
     assert len(keygen(5, n_mix_gates=3).mix_gates) == 3
+
+
+def test_keygen_and_cipher_streams_are_pinned():
+    # Seeds and ciphertexts per rng_seed are a file-format contract.
+    seeds = hashlib.sha256()
+    for s in range(500):
+        seeds.update(seed_to_json(keygen(s)).encode("ascii"))
+    assert seeds.hexdigest() == (
+        "7026856907f74b328bbbcf04365a0c30248b173d147f872dfbf98079819342c7")
+    cipher = hashlib.sha256()
+    rng = np.random.default_rng(12345)
+    for s in range(40):
+        seed = keygen(s)
+        for n in (1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 63, 64, 100, 255, 256,
+                  1000, 1023, 4095, 4096):
+            bits = "".join(str(b) for b in rng.integers(0, 2, size=n))
+            ct = encrypt(bits, seed)
+            cipher.update(f"{s}:{n}:{ct.bits}:{ct.orig_bit_len}\n".encode("ascii"))
+    assert cipher.hexdigest() == (
+        "03fedcdcc2b7ac65efd194c626947d457f1b742ab412a062c3564f9a99deb06c")
 
 
 def test_keygen_runs_no_simulation(monkeypatch):
