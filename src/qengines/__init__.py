@@ -9,6 +9,8 @@ uniformity, avalanche), and codec handles PBM images plus the seed and
 cipher file formats.
 """
 
+from types import ModuleType as _ModuleType
+
 from .sim import (
     Circuit,
     GateOp,
@@ -85,21 +87,6 @@ from .codec import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Circuit", "GateOp", "NoiseModel", "StateVector",
-    "apply_gate", "ccx", "circuit_unitary", "cx", "format_bits",
-    "gate_matrix", "h", "inverse_circuit", "noisy_sample", "probabilities",
-    "run_circuit", "rx", "sample", "swap", "x",
-    "HashConfig", "TEMPLATES", "build_hash_circuit", "entangler_ops",
-    "hash_batch", "hash_bits", "to_bitstring",
-    "BucketHistogram", "MetricsReport", "avalanche_score", "batch_sweep",
-    "bucket_histogram", "chi_squared_p", "chi_squared_survival",
-    "collision_rate", "evaluate_batch", "histogram_csv",
-    "regularized_gamma_q", "summary_csv",
-    "CipherText", "MixPermutation", "SeedSpec", "cipher_entropy_diag",
-    "classical_oracle_encrypt", "decrypt", "encrypt", "keygen", "mix_chunk",
-    "shannon_entropy", "shift_chunk", "sub_bytes", "validate_seed",
-    "LETTER_A", "BitImage", "ParseError", "bits_to_image",
-    "cipher_from_json", "cipher_to_json", "image_to_bits", "read_pbm",
-    "render_ascii", "seed_from_json", "seed_to_json", "write_pbm",
-]
+# The public names are exactly the ones imported above.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

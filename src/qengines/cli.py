@@ -124,9 +124,7 @@ def _cmd_keygen(args: argparse.Namespace) -> int:
 
 def _load_seed(path: str) -> qaes.SeedSpec:
     seed = codec.seed_from_json(Path(path).read_bytes())
-    violations = qaes.validate_seed(seed)
-    if violations:
-        raise ValueError(f"invalid seed {path}: " + "; ".join(violations))
+    qaes._require_structure(seed)
     return seed
 
 

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 
 from .qaes import CipherText, SeedSpec
-from .sim import GateOp, _integer
+from .sim import GateOp, _bits, _integer
 
 
 class ParseError(ValueError):
@@ -59,30 +59,36 @@ def read_pbm(data: bytes) -> BitImage:
         raise ParseError(f"malformed PBM dimensions {' '.join(sizes)!r}, "
                          "expected two positive decimal integers")
     try:
-        return BitImage(int(sizes[0]), int(sizes[1]),
-                        tuple(int(ch) for ch in "".join(tokens[3:])))
+        return bits_to_image("".join(tokens[3:]), int(sizes[0]), int(sizes[1]))
     except ValueError as exc:
         raise ParseError(f"malformed PBM: {exc}") from None
 
 
+def _rows(img: BitImage) -> list[str]:
+    bits = image_to_bits(img)
+    return [bits[k:k + img.width] for k in range(0, len(bits), img.width)]
+
+
 def write_pbm(img: BitImage) -> bytes:
     """Serialize to plain PBM: magic, dimensions line, one row per line."""
-    rows = []
-    for r in range(img.height):
-        row = img.pixels[r * img.width:(r + 1) * img.width]
-        rows.append(" ".join(str(p) for p in row))
-    return ("P1\n" + f"{img.width} {img.height}\n" + "\n".join(rows) + "\n").encode(
-        "ascii"
-    )
+    rows = "".join(" ".join(row) + "\n" for row in _rows(img))
+    return f"P1\n{img.width} {img.height}\n{rows}".encode("ascii")
+
+
+# The one place 0/1 text and pixel values convert, one C-level pass each way.
+_TO_PIXELS = bytes.maketrans(b"01", b"\x00\x01")
+_TO_TEXT = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def image_to_bits(img: BitImage) -> str:
     """Row-major pixel-to-bit conversion."""
-    return "".join(str(p) for p in img.pixels)
+    return bytes(img.pixels).translate(_TO_TEXT).decode("ascii")
 
 
 def bits_to_image(bits: str, width: int, height: int) -> BitImage:
-    return BitImage(width, height, tuple(int(ch) for ch in bits))
+    """Row-major bit-to-pixel conversion; bits must be 0/1 text."""
+    pixels = _bits(bits, "pixel bits").encode("ascii").translate(_TO_PIXELS)
+    return BitImage(width, height, tuple(pixels))
 
 
 def seed_to_json(seed: SeedSpec) -> str:
@@ -154,13 +160,12 @@ _LETTER_A_ROWS = (
     "0110000110",
 )
 
-LETTER_A = BitImage(10, 10, tuple(int(ch) for ch in "".join(_LETTER_A_ROWS)))
+LETTER_A = bits_to_image("".join(_LETTER_A_ROWS), 10, 10)
+
+# render_ascii draws a black pixel as "#" and a white one as ".".
+_ASCII_ART = str.maketrans("10", "#.")
 
 
-def render_ascii(img: BitImage, on: str = "#", off: str = ".") -> str:
+def render_ascii(img: BitImage) -> str:
     """Terminal rendering of a bit image, one character per pixel."""
-    rows = []
-    for r in range(img.height):
-        row = img.pixels[r * img.width:(r + 1) * img.width]
-        rows.append("".join(on if p else off for p in row))
-    return "\n".join(rows)
+    return "\n".join(_rows(img)).translate(_ASCII_ART)

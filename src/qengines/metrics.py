@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .qhash import HashConfig, hash_batch, to_bitstring
-from .sim import _integer
+from .sim import _bits, _integer, _real
 
 _EPS = 1e-16
 _MAX_ITER = 10_000
@@ -52,10 +52,8 @@ def bucket_histogram(hashes: Sequence[str], n_qubits: int) -> BucketHistogram:
     """Tally hash bitstrings into 2^n buckets indexed by basis value."""
     counts = np.zeros(1 << n_qubits, dtype=np.int64)
     for value in hashes:
-        if len(value) != n_qubits:
-            raise ValueError(
-                f"hash {value!r} has length {len(value)}, expected {n_qubits}"
-            )
+        if len(_bits(value, "hash")) != n_qubits:
+            raise ValueError(f"hash {value!r} has length {len(value)}, expected {n_qubits}")
         counts[int(value, 2)] += 1
     return BucketHistogram(n_qubits, counts, int(counts.sum()))
 
@@ -110,6 +108,7 @@ def _gamma_q_contfrac(a: float, x: float) -> float:
 
 def regularized_gamma_q(a: float, x: float) -> float:
     """Upper regularized incomplete gamma Q(a, x) = Gamma(a, x)/Gamma(a)."""
+    a, x = _real(a, "a"), _real(x, "x")
     if a <= 0.0:
         raise ValueError(f"a must be positive, got {a}")
     if x < 0.0:
@@ -123,7 +122,7 @@ def regularized_gamma_q(a: float, x: float) -> float:
 
 def chi_squared_survival(x: float, df: int) -> float:
     """P(X >= x) for a chi-squared variable with df degrees of freedom."""
-    df = _integer(df, "df", 1)
+    x, df = _real(x, "x"), _integer(df, "df", 1)
     if x <= 0.0:
         return 1.0
     return min(1.0, max(0.0, regularized_gamma_q(df / 2.0, x / 2.0)))

@@ -22,6 +22,7 @@ from .sim import (
     Circuit,
     GateOp,
     StateVector,
+    _bits,
     _integer,
     cx,
     h,
@@ -61,18 +62,12 @@ class CipherText:
     def __post_init__(self) -> None:
         object.__setattr__(self, "orig_bit_len",
                            _integer(self.orig_bit_len, "orig_bit_len"))
-        if set(self.bits) - {"0", "1"}:
-            raise ValueError("cipher bits must contain only 0/1")
-        if len(self.bits) % CHUNK_BITS != 0:
-            raise ValueError(
-                f"cipher bit length {len(self.bits)} is not a multiple of {CHUNK_BITS}"
-            )
-        n_bits = len(self.bits)
+        n_bits = len(_bits(self.bits, "cipher bits"))
+        if n_bits % CHUNK_BITS != 0:
+            raise ValueError(f"cipher bit length {n_bits} is not a multiple of {CHUNK_BITS}")
         if not 0 <= self.orig_bit_len <= n_bits < self.orig_bit_len + CHUNK_BITS:
-            raise ValueError(
-                f"orig_bit_len {self.orig_bit_len} inconsistent with "
-                f"{n_bits} cipher bits"
-            )
+            raise ValueError(f"orig_bit_len {self.orig_bit_len} inconsistent with "
+                             f"{n_bits} cipher bits")
 
 
 @dataclass(frozen=True)
@@ -166,10 +161,8 @@ def shift_chunk(nibble: int, position: int) -> int:
 
 
 def _pad_bits(bits: str) -> str:
-    if not bits:
+    if not _bits(bits, "plaintext"):
         raise ValueError("plaintext bits are empty")
-    if set(bits) - {"0", "1"}:
-        raise ValueError("plaintext must contain only 0/1")
     return bits + "0" * ((-len(bits)) % CHUNK_BITS)
 
 

@@ -21,7 +21,9 @@ from .sim import (
     Circuit,
     GateOp,
     NoiseModel,
+    _bits,
     _integer,
+    _real,
     cx,
     format_bits,
     h,
@@ -63,8 +65,7 @@ class HashConfig:
                              ("shots", 1 if self.mode == MODE_SAMPLED else None, None)):
             object.__setattr__(self, name, _integer(getattr(self, name), name, lo, hi))
         for name in ("theta1", "phi1", "theta2", "phi2"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if self.mode not in (MODE_EXACT, MODE_SAMPLED):
             raise ValueError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
 
@@ -116,12 +117,9 @@ def entangler_ops(template: str, n_qubits: int) -> list[GateOp]:
 
 
 def _blocks(input_bits: str, n_qubits: int) -> list[str]:
-    if not input_bits:
+    if not _bits(input_bits, "input bits"):
         raise ValueError("input bitstring is empty")
-    if set(input_bits) - {"0", "1"}:
-        raise ValueError(f"input must contain only 0/1, got {input_bits!r}")
-    pad = (-len(input_bits)) % n_qubits
-    padded = input_bits + "0" * pad
+    padded = input_bits + "0" * ((-len(input_bits)) % n_qubits)
     return [padded[k:k + n_qubits] for k in range(0, len(padded), n_qubits)]
 
 

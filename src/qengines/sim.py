@@ -45,6 +45,15 @@ def _rx(theta: float) -> np.ndarray:
     return _frozen([[c, -1.0j * s], [-1.0j * s, c]])
 
 
+def _bounded(value, name: str, lo, hi):
+    # Inclusive bounds; hi is only ever given together with lo.
+    if hi is not None and not lo <= value <= hi:
+        raise ValueError(f"{name} must be in [{lo}, {hi}], got {value}")
+    if lo is not None and value < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {value}")
+    return value
+
+
 def _integer(value: object, name: str, lo: int | None = None,
              hi: int | None = None) -> int:
     """Return an integer argument as a plain int, or raise ValueError.
@@ -53,11 +62,40 @@ def _integer(value: object, name: str, lo: int | None = None,
     """
     if type(value) is not int and not isinstance(value, np.integer):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    value = int(value)
-    if hi is not None and not lo <= value <= hi:
-        raise ValueError(f"{name} must be in [{lo}, {hi}], got {value}")
-    if lo is not None and value < lo:
-        raise ValueError(f"{name} must be >= {lo}, got {value}")
+    return _bounded(int(value), name, lo, hi)
+
+
+def _real(value: object, name: str, lo: float | None = None,
+          hi: float | None = None) -> float:
+    """Return a real argument as a plain finite float, or raise ValueError.
+
+    NumPy ints and floats pass; bools, strings, None, NaN and infinities do
+    not; lo and hi are inclusive bounds.
+    """
+    if type(value) is float and lo is hi is None and math.isfinite(value):
+        return value  # the fast path: every RX gate of a hash comes here
+    if type(value) is bool or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # a Python int past the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return _bounded(value, name, lo, hi)
+
+
+_NOT_BITS = str.maketrans("", "", "01")  # deletes 0 and 1, leaving the bad characters
+
+
+def _bits(value: object, name: str) -> str:
+    """Return a str over {"0", "1"}, empty allowed, or raise ValueError naming
+    the first other character and its index, never the whole string."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string of 0/1, got {type(value).__name__}")
+    if bad := value.translate(_NOT_BITS):
+        i = value.index(bad[0])
+        raise ValueError(f"{name} must contain only 0/1, got {bad[0]!r} at index {i}")
     return value
 
 
@@ -81,10 +119,9 @@ class GateOp:
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"{self.kind} qubits must be distinct: {self.qubits}")
         if self.kind == "RX":
-            if self.angle is None:
-                raise ValueError("RX requires an angle")
-            if not math.isfinite(self.angle):
-                raise ValueError(f"RX angle must be finite, got {self.angle}")
+            angle = _real(self.angle, "RX angle")
+            if angle is not self.angle:  # skipped for a plain float, as in every hash
+                object.__setattr__(self, "angle", angle)
         elif self.angle is not None:
             raise ValueError(f"{self.kind} takes no angle")
 
@@ -98,7 +135,7 @@ def h(q: int) -> GateOp:
 
 
 def rx(theta: float, q: int) -> GateOp:
-    return GateOp("RX", (q,), angle=float(theta))
+    return GateOp("RX", (q,), angle=theta)
 
 
 def cx(control: int, target: int) -> GateOp:
@@ -147,9 +184,7 @@ class NoiseModel:
 
     def __post_init__(self) -> None:
         for name in ("depolarizing_p", "readout_flip_q"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
+            object.__setattr__(self, name, _real(getattr(self, name), name, 0, 1))
 
 
 @dataclass
@@ -305,13 +340,8 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
 
 def inverse_circuit(c: Circuit) -> Circuit:
     """Reverse the gate order; RX angles are negated, the rest self-invert."""
-    inv = []
-    for op in reversed(c.ops):
-        if op.kind == "RX":
-            inv.append(GateOp("RX", op.qubits, angle=-op.angle))
-        else:
-            inv.append(op)
-    return Circuit(c.n_qubits, tuple(inv))
+    return Circuit(c.n_qubits, tuple(rx(-op.angle, *op.qubits) if op.kind == "RX" else op
+                                     for op in reversed(c.ops)))
 
 
 def noisy_sample(c: Circuit, initial: int, shots: int, noise: NoiseModel,
