@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import codec, metrics, qaes, qhash
 from .codec import ParseError
-from .sim import NoiseModel
+from .sim import NoiseModel, _decimal, _real
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -69,20 +69,20 @@ def _parse_noise(spec: str) -> NoiseModel:
     parts = spec.split(",")
     if len(parts) != 2:
         raise ValueError(f"noise must be 'p,q', got {spec!r}")
-    return NoiseModel(float(parts[0]), float(parts[1]))
+    return NoiseModel(*(_decimal(part, "--noise") for part in parts))
 
 
 def _hash_config(args: argparse.Namespace) -> qhash.HashConfig:
+    # _real first: the product would overflow for an int past the float range.
+    angles = {k: _real(_decimal(getattr(args, k), f"--{k}"), f"--{k}") * math.pi
+              for k in ("theta1", "phi1", "theta2", "phi2")}
     return qhash.HashConfig(
         template=args.template,
-        n_qubits=args.qubits,
-        theta1=args.theta1 * math.pi,
-        phi1=args.phi1 * math.pi,
-        theta2=args.theta2 * math.pi,
-        phi2=args.phi2 * math.pi,
+        n_qubits=_decimal(args.qubits, "--qubits"),
+        **angles,
         mode=args.mode,
-        shots=args.shots,
-        rng_seed=args.rng_seed,
+        shots=_decimal(args.shots, "--shots"),
+        rng_seed=_decimal(args.rng_seed, "--rng-seed"),
         noise=_parse_noise(args.noise),
     )
 
@@ -95,14 +95,11 @@ def _cmd_hash(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    items = [s for s in args.batch_sizes.split(",") if s]
-    if not all(s.isascii() and s.isdigit() for s in items):
-        raise ValueError(f"bad --batch-sizes {args.batch_sizes!r}, expected digits")
-    sizes = [int(s) for s in items]
+    sizes = [_decimal(s, "--batch-sizes") for s in args.batch_sizes.split(",") if s]
     if not sizes:
         raise ValueError("no batch sizes given")
     cfg = _hash_config(args)
-    results = metrics.batch_sweep(cfg, sizes, input_width=args.input_width)
+    results = metrics.batch_sweep(cfg, sizes, _decimal(args.input_width, "--input-width"))
     summary = metrics.summary_csv([report for _, report in results])
     hists = [(size, metrics.histogram_csv(report.histogram)) for size, report in results]
     if args.output:
@@ -117,7 +114,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_keygen(args: argparse.Namespace) -> int:
-    seed = qaes.keygen(args.rng_seed, n_mix_gates=args.gates)
+    seed = qaes.keygen(_decimal(args.rng_seed, "--rng-seed"), _decimal(args.gates, "--gates"))
     _emit(codec.seed_to_json(seed), args.output or "seed.json")
     return EXIT_OK
 
@@ -155,9 +152,9 @@ def _cmd_decrypt(args: argparse.Namespace) -> int:
     text = bits + "\n"
     if args.dims:
         sizes = args.dims.lower().split("x")
-        if len(sizes) != 2 or not all(v.isascii() and v.isdigit() for v in sizes):
-            raise ValueError(f"bad --dims {args.dims!r}, expected WxH in digits")
-        img = codec.bits_to_image(bits, int(sizes[0]), int(sizes[1]))
+        if len(sizes) != 2:
+            raise ValueError(f"bad --dims {args.dims!r}, expected WxH")
+        img = codec.bits_to_image(bits, *(_decimal(v, "--dims") for v in sizes))
         text = codec.write_pbm(img).decode("ascii")
     _emit(text, args.output)
     return EXIT_OK
@@ -165,16 +162,17 @@ def _cmd_decrypt(args: argparse.Namespace) -> int:
 
 def _add_hash_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--template", required=True, choices=qhash.TEMPLATES)
-    p.add_argument("--qubits", type=int, default=4)
-    p.add_argument("--theta1", type=float, default=1.0,
+    p.add_argument("--qubits", default="4")
+    p.add_argument("--theta1", default="1.0",
                    help="first-layer angle for bit 1, in units of pi")
-    p.add_argument("--phi1", type=float, default=0.0,
+    p.add_argument("--phi1", default="0.0",
                    help="first-layer angle for bit 0, in units of pi")
-    p.add_argument("--theta2", type=float, default=1.0)
-    p.add_argument("--phi2", type=float, default=0.0)
+    p.add_argument("--theta2", default="1.0")
+    p.add_argument("--phi2", default="0.0")
     p.add_argument("--mode", choices=(qhash.MODE_EXACT, qhash.MODE_SAMPLED),
                    default=qhash.MODE_EXACT)
-    p.add_argument("--shots", type=int, default=1000)
+    p.add_argument("--shots", default="1000")
+    p.add_argument("--rng-seed", default="0")
     p.add_argument("--noise", default="0,0", help="depolarizing,readout as 'p,q'")
 
 
@@ -187,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "reversible-gate block cipher.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--rng-seed", type=int, default=0)
     common.add_argument("--output", default=None)
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -202,14 +199,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", parents=[common],
                             help="hash integer batches and report quality metrics")
     p_eval.add_argument("--batch-sizes", default="25,50,100")
-    p_eval.add_argument("--input-width", type=int, default=8)
+    p_eval.add_argument("--input-width", default="8")
     _add_hash_flags(p_eval)
     p_eval.set_defaults(func=_cmd_eval)
 
     p_keygen = sub.add_parser("keygen", parents=[common],
                               help="generate a seed file")
-    p_keygen.add_argument("--gates", type=int, default=12,
-                          help="number of mixing gates")
+    p_keygen.add_argument("--gates", default="12", help="number of mixing gates")
+    p_keygen.add_argument("--rng-seed", default="0")
     p_keygen.set_defaults(func=_cmd_keygen)
 
     p_encrypt = sub.add_parser("encrypt", parents=[common],

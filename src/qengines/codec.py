@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 
 from .qaes import CipherText, SeedSpec
-from .sim import GateOp, _bits, _integer
+from .sim import GateOp, _bits, _decimal, _integer
 
 
 class ParseError(ValueError):
@@ -54,12 +54,11 @@ def read_pbm(data: bytes) -> BitImage:
         magic = tokens[0] if tokens else "<empty>"
         raise ParseError(f"unsupported magic {magic!r}, expected P1")
     sizes = tokens[1:3]
-    # int() would also take a sign or "1_0"; the text is ASCII by now.
-    if len(sizes) != 2 or not all(v.isdigit() for v in sizes):
+    if len(sizes) != 2:
         raise ParseError(f"malformed PBM dimensions {' '.join(sizes)!r}, "
-                         "expected two positive decimal integers")
+                         "expected width and height")
     try:
-        return bits_to_image("".join(tokens[3:]), int(sizes[0]), int(sizes[1]))
+        return bits_to_image("".join(tokens[3:]), *(_decimal(v, "PBM size") for v in sizes))
     except ValueError as exc:
         raise ParseError(f"malformed PBM: {exc}") from None
 

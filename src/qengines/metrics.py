@@ -50,6 +50,8 @@ class MetricsReport:
 
 def bucket_histogram(hashes: Sequence[str], n_qubits: int) -> BucketHistogram:
     """Tally hash bitstrings into 2^n buckets indexed by basis value."""
+    if isinstance(hashes, str):
+        raise ValueError("hashes must be a list of bitstrings, got a str")
     counts = np.zeros(1 << n_qubits, dtype=np.int64)
     for value in hashes:
         if len(_bits(value, "hash")) != n_qubits:
@@ -181,8 +183,8 @@ def avalanche_score(cfg: HashConfig, inputs: Sequence[str]) -> float:
     over all inputs x and all bit positions i.  Always in [0, 1]; exactly 0
     for a constant hasher.  Each distinct bitstring is hashed once.
     """
-    if not inputs:
-        raise ValueError("empty input list")
+    if not inputs or isinstance(inputs, str):
+        raise ValueError("inputs must be a non-empty list of bitstrings")
     length = len(inputs[0])
     if length == 0 or any(len(x) != length for x in inputs):
         raise ValueError("inputs must be non-empty and of equal length")
@@ -194,9 +196,9 @@ def avalanche_score(cfg: HashConfig, inputs: Sequence[str]) -> float:
 def _report(cfg: HashConfig, size: int, input_width: int,
             table: dict[str, str]) -> MetricsReport:
     size = _integer(size, "batch size", 1)
-    # Compared by hand: test_input_width_is_required expects TypeError for None.
-    if input_width < 1:
-        raise ValueError(f"input_width must be >= 1, got {input_width}")
+    if input_width is None:  # there is no automatic width
+        raise TypeError("input_width is required")
+    input_width = _integer(input_width, "input_width", 1)
     if size > (1 << input_width):
         raise ValueError(f"batch size {size} exceeds 2^{input_width} distinct inputs")
     inputs = [to_bitstring(i, input_width) for i in range(size)]

@@ -107,9 +107,7 @@ def entangler_ops(template: str, n_qubits: int) -> list[GateOp]:
     elif template == "PQC2":
         ops += [cx(i, i + 1) for i in range(n - 1)]
     elif template == "PQC3":
-        for i in range(n):
-            for j in range(i + 1, n):
-                ops.append(cx(i, j))
+        ops += [cx(i, j) for i in range(n) for j in range(i + 1, n)]
     elif template == "PQC5" and n >= 2:
         ops += [cx(i, (i + 1) % n) for i in range(n)]
         ops += [cx(i, (i - 1) % n) for i in range(n)]
@@ -161,6 +159,6 @@ def hash_bits(input_bits: str, cfg: HashConfig) -> str:
 
 def hash_batch(inputs: list[str], cfg: HashConfig) -> list[str]:
     """Hash a list of bitstrings, preserving order."""
-    if not inputs:
-        raise ValueError("empty input batch")
+    if not inputs or isinstance(inputs, str):
+        raise ValueError("inputs must be a non-empty list of bitstrings")
     return [hash_bits(bits, cfg) for bits in inputs]

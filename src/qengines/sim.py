@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +98,17 @@ def _bits(value: object, name: str) -> str:
         i = value.index(bad[0])
         raise ValueError(f"{name} must contain only 0/1, got {bad[0]!r} at index {i}")
     return value
+
+
+_DECIMAL = re.compile(r"-?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][-+]?[0-9]+)?")
+
+
+def _decimal(text: str, name: str) -> int | float:
+    """Read ASCII decimal text: an int if digits only (after an optional -), else
+    a float; kind and range are left to _integer and _real."""
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"{name} must be a decimal number, got {text!r}")
+    return int(text) if text.lstrip("-").isdigit() else float(text)
 
 
 @dataclass(frozen=True)

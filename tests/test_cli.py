@@ -400,7 +400,7 @@ def test_keygen_negative_rng_seed_is_validation_error(tmp_path, capsys):
 
 # Each rule below is checked only where the data takes its type (BitImage,
 # the hash and cipher input checks); the CLI must keep the exit code.
-@pytest.mark.parametrize("argv, pbm, code", [
+REJECTED = [
     (["hash", "--input", "bits:", "--template", "PQC4"], None, 3),
     (["hash", "--input", "bits:0a1", "--template", "PQC4"], None, 3),
     (["encrypt", "--in", "bits:01x1", "--seed", "{seed}"], None, 3),
@@ -424,13 +424,43 @@ def test_keygen_negative_rng_seed_is_validation_error(tmp_path, capsys):
     (["eval", "--template", "PQC4", "--batch-sizes", "1_6"], None, 3),
     (["eval", "--template", "PQC4", "--batch-sizes", "+5"], None, 3),
     (["eval", "--template", "PQC4", "--batch-sizes", " 5"], None, 3),
-], ids=["hash_empty_bits", "hash_non_binary_bits", "encrypt_non_binary_bits",
-        "pbm_pixel_2", "pbm_one_pixel_short", "pbm_zero_size", "pbm_negative_size",
-        "dims_zero", "dims_too_small", "pbm_size_underscore", "pbm_size_sign",
-        "dims_underscore", "dims_sign", "dims_space", "dims_non_ascii_digits",
-        "hash_bad_hex", "hash_empty_file", "noise_one_value", "eval_no_batch_sizes",
-        "batch_size_underscore", "batch_size_sign", "batch_size_space"])
-def test_rejected_input_keeps_its_exit_code(argv, pbm, code, workspace, capsys):
+]
+REJECTED_IDS = ["hash_empty_bits", "hash_non_binary_bits", "encrypt_non_binary_bits",
+                "pbm_pixel_2", "pbm_one_pixel_short", "pbm_zero_size", "pbm_negative_size",
+                "dims_zero", "dims_too_small", "pbm_size_underscore", "pbm_size_sign",
+                "dims_underscore", "dims_sign", "dims_space", "dims_non_ascii_digits",
+                "hash_bad_hex", "hash_empty_file", "noise_one_value", "eval_no_batch_sizes",
+                "batch_size_underscore", "batch_size_sign", "batch_size_space"]
+
+HASH = ["hash", "--input", "bits:0110", "--template", "PQC4"]
+# A number flag takes ASCII decimal text only, so any other spelling exits 3
+# naming the flag; a well-formed number of the wrong kind is named by the
+# argument that rejects it.  A flag a command does not read is a usage error.
+REJECTED_NUMBERS = {
+    "qubits_non_ascii_digit": ([*HASH, "--qubits", "\u0664"], 3, "--qubits"),
+    "qubits_sign": ([*HASH, "--qubits", "+4"], 3, "--qubits"),
+    "qubits_space": ([*HASH, "--qubits", " 4"], 3, "--qubits"),
+    "qubits_word": ([*HASH, "--qubits", "abc"], 3, "--qubits"),
+    "qubits_float": ([*HASH, "--qubits", "4.0"], 3, "n_qubits must be an integer"),
+    "theta1_underscore": ([*HASH, "--theta1", "1_0"], 3, "--theta1"),
+    "theta1_non_ascii_digit": ([*HASH, "--theta1", "\u0661"], 3, "--theta1"),
+    "theta1_word": ([*HASH, "--theta1", "abc"], 3, "--theta1"),
+    "shots_underscore": ([*HASH, "--mode", "sampled", "--shots", "1_0"], 3, "--shots"),
+    "noise_underscore": ([*HASH, "--noise", "1_0e-2,0"], 3, "--noise"),
+    "noise_space": ([*HASH, "--noise", "0.1, 0"], 3, "--noise"),
+    "gates_non_ascii_digit": (["keygen", "--gates", "\u0663"], 3, "--gates"),
+    "input_width_float": (["eval", "--template", "PQC4", "--batch-sizes", "4",
+                           "--input-width", "4.0"], 3, "input_width must be an integer"),
+    "encrypt_rng_seed": (["encrypt", "--in", "bits:0110", "--seed", "{seed}",
+                          "--rng-seed", "5"], 2, "--rng-seed"),
+}
+
+
+@pytest.mark.parametrize("argv, pbm, code, err", [
+    *[(*row, None) for row in REJECTED],
+    *[(argv, None, code, err) for argv, code, err in REJECTED_NUMBERS.values()],
+], ids=[*REJECTED_IDS, *REJECTED_NUMBERS])
+def test_rejected_input_keeps_its_exit_code(argv, pbm, code, err, workspace, capsys):
     tmp_path, img_path, seed_path = workspace
     cipher_path = tmp_path / "cipher.json"
     assert main(["encrypt", "--in", str(img_path), "--seed", str(seed_path),
@@ -440,8 +470,26 @@ def test_rejected_input_keeps_its_exit_code(argv, pbm, code, workspace, capsys):
         pbm_path.write_bytes(pbm)
     out = tmp_path / "out"
     files = {"seed": seed_path, "cipher": cipher_path, "pbm": pbm_path}
-    assert main([a.format(**files) for a in argv] + ["--output", str(out)]) == code
+    argv = [a.format(**files) for a in argv] + ["--output", str(out)]
+    if code == 2:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    else:
+        assert main(argv) == code
     assert not out.exists()
+    if err is not None:
+        assert err in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, spellings", [
+    ("--theta1", (".5", "5e-1", "0.5")),
+    ("--qubits", ("04", "4")),
+])
+def test_number_spellings_give_one_output(flag, spellings, capsys):
+    argv = ["eval", "--template", "PQC3", "--batch-sizes", "8", "--input-width", "4"]
+    outs = [run_ok([*argv, flag, spelling], capsys) for spelling in spellings]
+    assert outs == [outs[0]] * len(spellings)
 
 
 def _seed_doc(**fields):

@@ -63,6 +63,8 @@ SITES = [
     ("chi_squared_survival.df", lambda v: chi_squared_survival(1.0, v), "df", 3, (0,)),
     ("evaluate_batch.size", lambda v: evaluate_batch(HashConfig("PQC4"), v, 4),
      "batch size", 3, (0,)),
+    ("evaluate_batch.input_width", lambda v: evaluate_batch(HashConfig("PQC4"), 2, v),
+     "input_width", 4, (0,)),
 ]
 
 

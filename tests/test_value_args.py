@@ -1,11 +1,13 @@
-"""Every real argument and every 0/1 string follows one rule each.
+"""Every real argument, 0/1 string and number text follows one rule each.
 
 A real is a Python or NumPy int or float that is finite and in range; a
 bool, a string, None, NaN or an infinity raises ValueError naming the
 argument.  A 0/1 string is a str holding only "0" and "1"; anything else
-raises ValueError naming the argument and the first bad character.
+raises ValueError naming the argument and the first bad character.  A
+batch of them is never a bare str.  Number text is ASCII decimal.
 """
 
+import inspect
 import math
 import re
 from pathlib import Path
@@ -14,22 +16,26 @@ import numpy as np
 import pytest
 
 import qengines
+from qengines import cli
 from qengines import (
     CipherText,
     GateOp,
     HashConfig,
     NoiseModel,
     ParseError,
+    avalanche_score,
     bits_to_image,
     bucket_histogram,
     chi_squared_survival,
     encrypt,
+    hash_batch,
     hash_bits,
     keygen,
     read_pbm,
     regularized_gamma_q,
     rx,
 )
+from qengines.sim import _decimal
 
 SEED = keygen(0)
 
@@ -123,17 +129,57 @@ def test_bitstring_message_names_the_first_bad_character_only():
     assert str(exc.value) == "plaintext must contain only 0/1, got 'x' at index 5000"
 
 
+# (site, call with a bare str where a list of bitstrings belongs, name in the message)
+BATCH_SITES = [
+    ("hash_batch.inputs", lambda v: hash_batch(v, HashConfig("PQC3")), "inputs"),
+    ("avalanche_score.inputs", lambda v: avalanche_score(HashConfig("PQC3"), v), "inputs"),
+    ("bucket_histogram.hashes", lambda v: bucket_histogram(v, 1), "hashes"),
+]
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(call, name, id=site) for site, call, name in BATCH_SITES
+])
+def test_bare_str_batch_rejected(call, name):
+    # Iterated, "0101" would be four one-bit items.
+    with pytest.raises(ValueError, match=_said(name)):
+        call("0101")
+
+
+@pytest.mark.parametrize("text, value", [
+    ("4", 4), ("04", 4), ("-1", -1), ("0", 0), ("4.0", 4.0), ("1.", 1.0),
+    (".5", 0.5), ("-.5", -0.5), ("5e-1", 0.5), ("1e0", 1.0), ("1E+3", 1000.0),
+])
+def test_decimal_text_read(text, value):
+    # Digits only read as an int; a point or an exponent as a float.
+    read = _decimal(text, "--flag")
+    assert (type(read), read) == (type(value), value)
+
+
+@pytest.mark.parametrize("text", [
+    "", "-", ".", "+4", " 4", "4 ", "1_0", "\u0664", "abc", "e5", "1e", "--1",
+    "1.5.2", "0x10", "inf", "nan", "1,5",
+])
+def test_decimal_text_rejected(text):
+    with pytest.raises(ValueError, match=_said("--flag")):
+        _decimal(text, "--flag")
+
+
 def test_pbm_pixels_go_through_the_bit_rule():
     with pytest.raises(ParseError, match=_said("pixel bits") + r".*'2' at index 1"):
         read_pbm(b"P1\n2 1\n1 2\n")
 
 
 def test_rules_have_one_owner_in_the_source():
-    # A second finiteness test or 0/1 character set would be a second rule.
+    # A second finiteness test, 0/1 character set or number parser would be
+    # a second rule.  A token must start a word, so NumPy's dtype=float is no
+    # argparse type=float.
     package = Path(qengines.__file__).parent
-    found = [(path.name, token) for path in sorted(package.glob("*.py"))
-             for token in ("math.isfinite(", '{"0", "1"}')
-             if path.name != "sim.py" and token in path.read_text()]
+    tokens = ("math.isfinite(", '{"0", "1"}', "isdigit(", "type=int", "type=float")
+    found = [(path.name, token) for path in sorted(package.glob("*.py")) for token in tokens
+             if path.name != "sim.py"
+             and re.search(r"(?<!\w)" + re.escape(token), path.read_text())]
     assert found == []
     sim = (package / "sim.py").read_text()
-    assert "def _real(" in sim and "def _bits(" in sim
+    assert "def _real(" in sim and "def _bits(" in sim and "def _decimal(" in sim
+    assert "float(" not in inspect.getsource(cli._parse_noise)
