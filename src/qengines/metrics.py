@@ -195,12 +195,6 @@ def avalanche_score(cfg: HashConfig, inputs: Sequence[str]) -> float:
 
 def _report(cfg: HashConfig, size: int, input_width: int,
             table: dict[str, str]) -> MetricsReport:
-    size = _integer(size, "batch size", 1)
-    if input_width is None:  # there is no automatic width
-        raise TypeError("input_width is required")
-    input_width = _integer(input_width, "input_width", 1)
-    if size > (1 << input_width):
-        raise ValueError(f"batch size {size} exceeds 2^{input_width} distinct inputs")
     inputs = [to_bitstring(i, input_width) for i in range(size)]
     _fill_hashes(cfg, inputs, table)
     hist = bucket_histogram([table[bits] for bits in inputs], cfg.n_qubits)
@@ -220,18 +214,27 @@ def evaluate_batch(cfg: HashConfig, size: int, input_width: int) -> MetricsRepor
     Each input and each of its single-bit flips is hashed once, and the
     histogram and the avalanche mean read the same hashes.
     """
-    return _report(cfg, size, input_width, {})
+    (_, report), = batch_sweep(cfg, [size], input_width)
+    return report
 
 
 def batch_sweep(cfg: HashConfig, batch_sizes: Sequence[int],
                 input_width: int) -> list[tuple[int, MetricsReport]]:
     """Evaluate a config over several batch sizes of integer inputs.
 
-    The reports share one table of hashes, so a bitstring that several
-    batches use is hashed once per sweep.
+    Every size is checked before the first hash.  The reports share one
+    table of hashes, so a bitstring that several batches use is hashed
+    once per sweep.
     """
+    sizes = [_integer(size, "batch size", 1) for size in batch_sizes]
+    if input_width is None:  # there is no automatic width
+        raise TypeError("input_width is required")
+    input_width = _integer(input_width, "input_width", 1)
+    for size in sizes:
+        if size > (1 << input_width):
+            raise ValueError(f"batch size {size} exceeds 2^{input_width} distinct inputs")
     table: dict[str, str] = {}
-    return [(size, _report(cfg, size, input_width, table)) for size in batch_sizes]
+    return [(size, _report(cfg, size, input_width, table)) for size in sizes]
 
 
 def histogram_csv(hist: BucketHistogram) -> str:

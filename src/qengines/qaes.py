@@ -3,12 +3,14 @@
 The shared secret is a self-inverse 16-entry substitution table plus a
 list of classical reversible gates (X, CX, CCX, SWAP) acting on a 4-qubit
 register.  Encryption runs each chunk through SubBytes, then the gate
-list, then a position-dependent left rotation.  Each call derives the
-gates' action in one simulator run, on the 4 system qubits of a maximally
-entangled 8-qubit state, builds a 4x16 table from the stage functions
-sub_bytes, the mixing permutation and shift_chunk, with one row per chunk
-index mod 4, and looks each chunk up in it; decryption uses the row-wise
-inverse table.  There is no round key: whoever holds the seed can decrypt.
+list, then a position-dependent left rotation.  The rotation's 4x16 rows,
+one per chunk index mod 4, come from shift_chunk once at import.  Each
+call derives the gates' action in one simulator run, on the 4 system
+qubits of a maximally entangled 8-qubit state, composes it with sub_bytes
+over the 16 chunk values, and reads the rotation rows at that composition.
+Looking all chunks up is one gather; decryption gathers from the inverse
+table, an argsort of each row.  There is no round key: whoever holds the
+seed can decrypt.
 """
 
 from __future__ import annotations
@@ -160,24 +162,37 @@ def shift_chunk(nibble: int, position: int) -> int:
     return ((nibble << r) | (nibble >> (CHUNK_BITS - r))) & (TABLE_SIZE - 1)
 
 
+# Views of immutable bytes, so no caller can make them writable again.
+# Row i rotates a chunk value at 0-based chunk index k = i mod 4 (1-based position i + 1).
+_ROTATIONS = np.frombuffer(
+    bytes(shift_chunk(v, i + 1) for i in range(CHUNK_BITS) for v in range(TABLE_SIZE)),
+    np.uint8).reshape(CHUNK_BITS, TABLE_SIZE)
+# Row v holds the ASCII digits of v, most significant bit first.
+_DIGITS = np.frombuffer(
+    "".join(format(v, f"0{CHUNK_BITS}b") for v in range(TABLE_SIZE)).encode("ascii"),
+    np.uint8).reshape(TABLE_SIZE, CHUNK_BITS)
+_PLACE_VALUES = np.frombuffer(bytes((8, 4, 2, 1)), np.uint8)
+
+
 def _pad_bits(bits: str) -> str:
     if not _bits(bits, "plaintext"):
         raise ValueError("plaintext bits are empty")
     return bits + "0" * ((-len(bits)) % CHUNK_BITS)
 
 
-def _chunk_tables(seed: SeedSpec) -> list[list[int]]:
+def _chunk_tables(seed: SeedSpec) -> np.ndarray:
     """Row i maps a chunk value to its ciphertext at each 0-based index k = i mod 4."""
     _require_structure(seed)
     mix = MixPermutation.from_gates(seed.mix_gates).map
-    return [[shift_chunk(mix[sub_bytes(v, seed.sub_table)], i + 1)
-             for v in range(TABLE_SIZE)] for i in range(CHUNK_BITS)]
+    return _ROTATIONS[:, [mix[sub_bytes(v, seed.sub_table)] for v in range(TABLE_SIZE)]]
 
 
-def _look_up_chunks(bits: str, tables: list[list[int]]) -> str:
-    chunks = [int(bits[k:k + CHUNK_BITS], 2) for k in range(0, len(bits), CHUNK_BITS)]
-    return "".join(format(tables[i % CHUNK_BITS][v], f"0{CHUNK_BITS}b")
-                   for i, v in enumerate(chunks))
+def _look_up_chunks(bits: str, table: np.ndarray) -> str:
+    # bits is already checked to be 0/1 text, so it encodes as ASCII.
+    digits = np.frombuffer(bits.encode("ascii"), np.uint8).reshape(-1, CHUNK_BITS)
+    chunks = (digits - ord("0")) @ _PLACE_VALUES
+    out = table[np.arange(len(chunks)) % CHUNK_BITS, chunks]
+    return _DIGITS[out].tobytes().decode("ascii")
 
 
 def encrypt(bits: str, seed: SeedSpec) -> CipherText:
@@ -192,7 +207,8 @@ def encrypt(bits: str, seed: SeedSpec) -> CipherText:
 
 def decrypt(ct: CipherText, seed: SeedSpec) -> str:
     """Look each chunk up in the inverse table and strip the padding."""
-    inverse = [[row.index(c) for c in range(TABLE_SIZE)] for row in _chunk_tables(seed)]
+    # Each row is a permutation, so sorting it lists its inverse.
+    inverse = np.argsort(_chunk_tables(seed), axis=1)
     return _look_up_chunks(ct.bits, inverse)[: ct.orig_bit_len]
 
 

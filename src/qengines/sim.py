@@ -108,7 +108,12 @@ def _decimal(text: str, name: str) -> int | float:
     a float; kind and range are left to _integer and _real."""
     if not _DECIMAL.fullmatch(text):
         raise ValueError(f"{name} must be a decimal number, got {text!r}")
-    return int(text) if text.lstrip("-").isdigit() else float(text)
+    if not text.lstrip("-").isdigit():
+        return float(text)
+    try:
+        return int(text)
+    except ValueError:  # past the interpreter's limit on int() digits
+        raise ValueError(f"{name} has too many digits: {len(text.lstrip('-'))}") from None
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qengines import LETTER_A, qaes, validate_seed, seed_from_json, write_pbm
+from qengines import LETTER_A, qaes, qhash, validate_seed, seed_from_json, write_pbm
 from qengines.cli import build_parser, main
 
 
@@ -122,6 +122,24 @@ def test_eval_rotation_only_template_does_not_undercut_entangled_one(tmp_path):
 
 def test_eval_zero_batch_size_rejected(capsys):
     assert main(["eval", "--template", "PQC3", "--batch-sizes", "0"]) == 3
+
+
+@pytest.mark.parametrize("sizes, err", [
+    ("100,2.5", "batch size must be an integer, got 2.5"),
+    ("25,300", "batch size 300 exceeds 2^8 distinct inputs"),
+])
+def test_eval_checks_every_batch_size_before_hashing(sizes, err, monkeypatch, capsys):
+    calls = []
+    real_hash_bits = qhash.hash_bits
+
+    def counting_hash_bits(*args, **kwargs):
+        calls.append(args)
+        return real_hash_bits(*args, **kwargs)
+
+    monkeypatch.setattr(qhash, "hash_bits", counting_hash_bits)
+    assert main(["eval", "--template", "PQC3", "--batch-sizes", sizes]) == 3
+    assert err in capsys.readouterr().err
+    assert calls == []
 
 
 def test_eval_stdout_mode(capsys):
@@ -453,12 +471,19 @@ REJECTED_NUMBERS = {
                            "--input-width", "4.0"], 3, "input_width must be an integer"),
     "encrypt_rng_seed": (["encrypt", "--in", "bits:0110", "--seed", "{seed}",
                           "--rng-seed", "5"], 2, "--rng-seed"),
+    # Past int()'s digit limit, the error still names the flag or the PBM field.
+    "qubits_too_many_digits": ([*HASH, "--qubits", "9" * 5000], 3, "--qubits"),
+    "pbm_size_too_many_digits": (["encrypt", "--in", "{pbm}", "--seed", "{seed}"], 4,
+                                 "malformed PBM: PBM size"),
 }
+# The PBM file that a row above reads as {pbm}.
+REJECTED_NUMBER_PBMS = {"pbm_size_too_many_digits": b"P1\n" + b"9" * 5000 + b" 1\n1\n"}
 
 
 @pytest.mark.parametrize("argv, pbm, code, err", [
     *[(*row, None) for row in REJECTED],
-    *[(argv, None, code, err) for argv, code, err in REJECTED_NUMBERS.values()],
+    *[(argv, REJECTED_NUMBER_PBMS.get(key), code, err)
+      for key, (argv, code, err) in REJECTED_NUMBERS.items()],
 ], ids=[*REJECTED_IDS, *REJECTED_NUMBERS])
 def test_rejected_input_keeps_its_exit_code(argv, pbm, code, err, workspace, capsys):
     tmp_path, img_path, seed_path = workspace

@@ -1,6 +1,8 @@
 """Cipher engine tests: seed validity, chunk steps, round trips, oracle."""
 
+import gc
 import hashlib
+import sys
 
 import numpy as np
 import pytest
@@ -258,6 +260,87 @@ def test_cipher_simulates_each_basis_state_once_per_call(n_bits, monkeypatch):
     calls.clear()
     assert decrypt(ct, seed) == bits
     assert len(calls) == 1
+
+
+def _python_calls(fn, *args):
+    """Count the Python-level function calls fn(*args) makes; native calls
+    are not counted, and the collector is off so no finalizer adds any."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event == "call"
+
+    previous = sys.getprofile()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(previous)
+        gc.enable()
+    return count
+
+
+def test_cipher_does_no_python_work_per_chunk():
+    seed = keygen(8)
+    short, long = "1011", "10110010" * 512
+    encrypt(short, seed)  # the first 8-qubit run fills the simulator's index tables
+    assert _python_calls(encrypt, short, seed) == _python_calls(encrypt, long, seed)
+    short_ct, long_ct = encrypt(short, seed), encrypt(long, seed)
+    assert _python_calls(decrypt, short_ct, seed) == _python_calls(decrypt, long_ct, seed)
+
+
+def test_decrypt_empty_ciphertext():
+    assert decrypt(CipherText("", 0), keygen(4)) == ""
+
+
+def test_encrypt_rejects_non_ascii_digit_by_index():
+    # "\u0661" is ARABIC-INDIC DIGIT ONE: the bit check names it before any encoding.
+    with pytest.raises(ValueError, match="plaintext must contain only 0/1, got .* at index 1"):
+        encrypt("1\u0661", keygen(4))
+
+
+def test_every_chunk_value_at_every_index_matches_oracle():
+    # Chunk k holds k // 4, so each value 0..15 meets each chunk index mod 4.
+    bits = "".join(format(k // 4, "04b") for k in range(64))
+    for s in range(100):
+        seed = keygen(s)
+        ct = encrypt(bits, seed)
+        assert ct.bits == classical_oracle_encrypt(bits, seed), s
+        assert decrypt(ct, seed) == bits, s
+
+
+@pytest.mark.parametrize("n_bits", [*range(1, 9), *range(4093, 4101)])
+def test_cipher_matches_oracle_at_length_edges(n_bits):
+    seed = keygen(n_bits)
+    rng = np.random.default_rng(n_bits)
+    bits = "".join(str(b) for b in rng.integers(0, 2, size=n_bits))
+    ct = encrypt(bits, seed)
+    assert ct.bits == classical_oracle_encrypt(bits, seed)
+    assert decrypt(ct, seed) == bits
+
+
+@pytest.mark.parametrize("name", ["_ROTATIONS", "_DIGITS"])
+def test_module_tables_are_read_only(name):
+    table = getattr(qaes, name)
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1
+    with pytest.raises(ValueError, match="WRITEABLE"):
+        table.setflags(write=True)
+
+
+def test_rotation_rows_are_evaluated_at_import(monkeypatch):
+    seed = keygen(6)
+    bits = "1011001110001111" * 3 + "101"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("shift_chunk ran after import")
+
+    monkeypatch.setattr(qaes, "shift_chunk", refuse)
+    ct = encrypt(bits, seed)
+    assert ct.bits == classical_oracle_encrypt(bits, seed)
+    assert decrypt(ct, seed) == bits
 
 
 def test_decrypt_inverse_of_known_cipher():
