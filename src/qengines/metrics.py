@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qhash import HashConfig, hash_batch, to_bitstring
+from .qhash import HashConfig, hash_batch
 from .sim import _bits, _integer, _real
 
 _EPS = 1e-16
@@ -140,40 +140,28 @@ def chi_squared_p(hist: BucketHistogram) -> tuple[float, float]:
     return chi2, chi_squared_survival(chi2, buckets - 1)
 
 
-def _hamming(a: str, b: str) -> int:
-    return sum(ca != cb for ca, cb in zip(a, b))
+def _avalanche(cfg: HashConfig, values: Sequence[int], width: int,
+               table: dict[int, int]) -> float:
+    """Mean avalanche over width-bit input values, after adding to ``table``
+    the hash index of every value and single-bit flip it lacks.
 
-
-def _flip(bits: str, i: int) -> str:
-    return bits[:i] + ("1" if bits[i] == "0" else "0") + bits[i + 1:]
-
-
-def _fill_hashes(cfg: HashConfig, inputs: Sequence[str],
-                 table: dict[str, str]) -> None:
-    """Add to ``table`` the hash of every input and single-bit flip it lacks.
-
-    A hash depends only on (bitstring, cfg), in sampled mode too, since
+    A hash depends only on (input, cfg), in sampled mode too, since
     ``hash_bits`` re-seeds the sampler per input; so one table can serve
-    every report of one config.
+    every report of one config and width.  Masks run leftmost bit first and
+    the sum runs in (input, bit) order, so the float result is reproducible.
     """
-    wanted = dict.fromkeys(
-        s for bits in inputs
-        for s in (bits, *(_flip(bits, i) for i in range(len(bits))))
-    )
-    missing = [s for s in wanted if s not in table]
+    masks = [1 << i for i in reversed(range(width))]
+    wanted = dict.fromkeys(v ^ m for v in values for m in (0, *masks))
+    missing = [u for u in wanted if u not in table]
     if missing:
-        table.update(zip(missing, hash_batch(missing, cfg)))
-
-
-def _avalanche_mean(cfg: HashConfig, inputs: Sequence[str],
-                    table: dict[str, str]) -> float:
-    # Summed in (input, bit) order, so the float result is reproducible.
+        hashes = hash_batch([format(u, f"0{width}b") for u in missing], cfg)
+        table.update(zip(missing, (int(h, 2) for h in hashes)))
     total = 0.0
-    for bits in inputs:
-        base = table[bits]
-        for i in range(len(bits)):
-            total += _hamming(base, table[_flip(bits, i)]) / cfg.n_qubits
-    return total / (len(inputs) * len(inputs[0]))
+    for v in values:
+        base = table[v]
+        for m in masks:
+            total += (base ^ table[v ^ m]).bit_count() / cfg.n_qubits
+    return total / (len(values) * width)
 
 
 def avalanche_score(cfg: HashConfig, inputs: Sequence[str]) -> float:
@@ -185,34 +173,25 @@ def avalanche_score(cfg: HashConfig, inputs: Sequence[str]) -> float:
     """
     if not inputs or isinstance(inputs, str):
         raise ValueError("inputs must be a non-empty list of bitstrings")
-    length = len(inputs[0])
-    if length == 0 or any(len(x) != length for x in inputs):
+    width = len(inputs[0])
+    if width == 0 or any(len(x) != width for x in inputs):
         raise ValueError("inputs must be non-empty and of equal length")
-    table: dict[str, str] = {}
-    _fill_hashes(cfg, inputs, table)
-    return _avalanche_mean(cfg, inputs, table)
+    return _avalanche(cfg, [int(_bits(x, "input bits"), 2) for x in inputs], width, {})
 
 
 def _report(cfg: HashConfig, size: int, input_width: int,
-            table: dict[str, str]) -> MetricsReport:
-    inputs = [to_bitstring(i, input_width) for i in range(size)]
-    _fill_hashes(cfg, inputs, table)
-    hist = bucket_histogram([table[bits] for bits in inputs], cfg.n_qubits)
-    chi2, p = chi_squared_p(hist)
-    return MetricsReport(
-        histogram=hist,
-        collision_rate=collision_rate(hist),
-        chi_squared=chi2,
-        p_value=p,
-        avalanche_mean=_avalanche_mean(cfg, inputs, table),
-    )
+            table: dict[int, int]) -> MetricsReport:
+    avalanche = _avalanche(cfg, range(size), input_width, table)  # fills the table
+    counts = np.bincount([table[v] for v in range(size)], minlength=1 << cfg.n_qubits)
+    hist = BucketHistogram(cfg.n_qubits, counts, size)
+    return MetricsReport(hist, collision_rate(hist), *chi_squared_p(hist), avalanche)
 
 
 def evaluate_batch(cfg: HashConfig, size: int, input_width: int) -> MetricsReport:
     """Hash the integers 0..size-1, as input_width-bit strings, and report.
 
     Each input and each of its single-bit flips is hashed once, and the
-    histogram and the avalanche mean read the same hashes.
+    histogram and the avalanche mean read the same hash indices.
     """
     (_, report), = batch_sweep(cfg, [size], input_width)
     return report
@@ -223,8 +202,8 @@ def batch_sweep(cfg: HashConfig, batch_sizes: Sequence[int],
     """Evaluate a config over several batch sizes of integer inputs.
 
     Every size is checked before the first hash.  The reports share one
-    table of hashes, so a bitstring that several batches use is hashed
-    once per sweep.
+    table from input value to hash index, so an input that several batches
+    use is hashed once per sweep.
     """
     sizes = [_integer(size, "batch size", 1) for size in batch_sizes]
     if input_width is None:  # there is no automatic width
@@ -233,7 +212,7 @@ def batch_sweep(cfg: HashConfig, batch_sizes: Sequence[int],
     for size in sizes:
         if size > (1 << input_width):
             raise ValueError(f"batch size {size} exceeds 2^{input_width} distinct inputs")
-    table: dict[str, str] = {}
+    table: dict[int, int] = {}
     return [(size, _report(cfg, size, input_width, table)) for size in sizes]
 
 

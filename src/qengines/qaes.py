@@ -233,15 +233,21 @@ def _classical_gate(nibble: int, g: GateOp) -> int:
 
 
 def classical_oracle_encrypt(bits: str, seed: SeedSpec) -> str:
-    """Bit-level reference encryption that never touches the simulator."""
+    """Bit-level reference encryption that never touches the simulator.
+
+    The substitution and the gates are composed over the 16 chunk values
+    first, so each chunk is one lookup and one rotation.
+    """
     _require_structure(seed)
     padded = _pad_bits(bits)
-    out = []
-    for pos in range(1, len(padded) // CHUNK_BITS + 1):
-        value = int(padded[(pos - 1) * CHUNK_BITS: pos * CHUNK_BITS], 2)
-        value = seed.sub_table[value]
+    composed = []
+    for value in seed.sub_table:
         for g in seed.mix_gates:
             value = _classical_gate(value, g)
+        composed.append(value)
+    out = []
+    for pos in range(1, len(padded) // CHUNK_BITS + 1):
+        value = composed[int(padded[(pos - 1) * CHUNK_BITS: pos * CHUNK_BITS], 2)]
         value = ((value << pos % 4) | (value >> (4 - pos % 4))) & 0xF
         out.append(format(value, f"0{CHUNK_BITS}b"))
     return "".join(out)

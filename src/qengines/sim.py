@@ -49,10 +49,18 @@ def _rx(theta: float) -> np.ndarray:
 def _bounded(value, name: str, lo, hi):
     # Inclusive bounds; hi is only ever given together with lo.
     if hi is not None and not lo <= value <= hi:
-        raise ValueError(f"{name} must be in [{lo}, {hi}], got {value}")
+        raise ValueError(f"{name} must be in [{lo}, {hi}], got {_short(value)}")
     if lo is not None and value < lo:
-        raise ValueError(f"{name} must be >= {lo}, got {value}")
+        raise ValueError(f"{name} must be >= {lo}, got {_short(value)}")
     return value
+
+
+def _short(value) -> str:
+    # An int past 64 bits is named by its size, never printed in full (past
+    # 4300 digits Python refuses to print it at all).
+    if type(value) is not int or value.bit_length() <= 64:
+        return str(value)
+    return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
 
 
 def _integer(value: object, name: str, lo: int | None = None,

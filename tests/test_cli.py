@@ -378,6 +378,21 @@ def test_unsupported_seed_version_is_validation_error(tmp_path, capsys):
     assert "unsupported seed version -42" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+def test_seed_is_checked_before_the_input_is_read(command, workspace, capsys):
+    # A seed that parses but breaks an invariant fails validation (exit 3)
+    # before the missing --in file could fail as an I/O error (exit 4).
+    tmp_path, _, seed_path = workspace
+    doc = json.loads(seed_path.read_text())
+    doc["version"] = 2
+    seed_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([command, "--in", str(tmp_path / "missing"), "--seed", str(seed_path),
+                 "--output", str(out)]) == 3
+    assert "invalid seed: unsupported seed version 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_decrypt_dims_stdout_matches_output_file(workspace, capsys):
     tmp_path, img_path, seed_path = workspace
     cipher_path = tmp_path / "cipher.json"
@@ -473,6 +488,9 @@ REJECTED_NUMBERS = {
                           "--rng-seed", "5"], 2, "--rng-seed"),
     # Past int()'s digit limit, the error still names the flag or the PBM field.
     "qubits_too_many_digits": ([*HASH, "--qubits", "9" * 5000], 3, "--qubits"),
+    # Within it, a value out of range is named by its size, not repeated.
+    "qubits_4300_digits": ([*HASH, "--qubits", "9" * 4300], 3,
+                           "n_qubits must be in [1, 8], got an integer of 14285 bits"),
     "pbm_size_too_many_digits": (["encrypt", "--in", "{pbm}", "--seed", "{seed}"], 4,
                                  "malformed PBM: PBM size"),
 }
@@ -505,6 +523,13 @@ def test_rejected_input_keeps_its_exit_code(argv, pbm, code, err, workspace, cap
     assert not out.exists()
     if err is not None:
         assert err in capsys.readouterr().err
+
+
+def test_out_of_range_number_gives_a_short_message(capsys):
+    # The value is named by its size, so the error stays one short line.
+    argv, code, _ = REJECTED_NUMBERS["qubits_4300_digits"]
+    assert main(argv) == code
+    assert len(capsys.readouterr().err) < 100
 
 
 @pytest.mark.parametrize("flag, spellings", [

@@ -83,3 +83,15 @@ def test_integer_argument_rejected(call, name, bad):
 ])
 def test_numpy_integer_accepted(call, good):
     call(np.int64(good))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: HashConfig("PQC3", n_qubits=10**5000),
+     r"^n_qubits must be in \[1, 8\], got an integer of 16610 bits$"),
+    (lambda: keygen(-10**5000), r"^rng_seed must be >= 0, got a negative integer of 16610 bits$"),
+], ids=["n_qubits=10**5000", "rng_seed=-10**5000"])
+def test_huge_integer_is_named_by_its_size(call, message):
+    # Past 4300 digits Python cannot print an int at all; the message still
+    # names the argument, and gives the value's bit length.
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -205,14 +205,21 @@ def longhand_avalanche(cfg, inputs):
     return total / (len(inputs) * len(inputs[0]))
 
 
-@pytest.mark.parametrize("width", [4, 8])
-@pytest.mark.parametrize("template", ["PQC1", "PQC2", "PQC3", "PQC4", "PQC5"])
-def test_avalanche_mean_equals_longhand(template, width):
+# At n_qubits 3 and 5 the terms d/n round, so only the (input, bit) order
+# gives the longhand float; at 4 every term is exact.  Each template runs
+# one of the two, on 4-bit inputs: the sampled config costs about 0.3 s a case.
+@pytest.mark.parametrize("template, width, n_qubits", [
+    *[pytest.param(template, width, 4, id=f"{template}-{width}")
+      for template in ("PQC1", "PQC2", "PQC3", "PQC4", "PQC5") for width in (4, 8)],
+    *[pytest.param(template, 4, n, id=f"{template}-4-n{n}")
+      for template, n in (("PQC1", 5), ("PQC2", 3), ("PQC3", 5), ("PQC4", 3), ("PQC5", 5))],
+])
+def test_avalanche_mean_equals_longhand(template, width, n_qubits):
     inputs = [to_bitstring(i, width) for i in range(10)]
     configs = [
-        HashConfig(template, theta1=0.7 * math.pi, phi1=0.2 * math.pi,
+        HashConfig(template, n_qubits, theta1=0.7 * math.pi, phi1=0.2 * math.pi,
                    theta2=0.4 * math.pi, phi2=0.9 * math.pi),
-        HashConfig(template, mode="sampled", shots=16, rng_seed=3,
+        HashConfig(template, n_qubits, mode="sampled", shots=16, rng_seed=3,
                    noise=NoiseModel(0.05, 0.02)),
     ]
     for cfg in configs:
