@@ -54,15 +54,13 @@ def _parse_input_bits(spec: str) -> str:
             data = bytes.fromhex(digits)
         except ValueError:
             raise ValueError(f"bad hex input {digits!r}") from None
-        return qhash.to_bitstring(data, 8 * len(data))
-    if spec.startswith("file:"):
+    elif spec.startswith("file:"):
         data = Path(spec[len("file:"):]).read_bytes()
-        if not data:
-            raise ValueError("input file is empty")
-        return qhash.to_bitstring(data, 8 * len(data))
-    raise ValueError(
-        f"input must start with bits:, hex:, or file:, got {spec!r}"
-    )
+    else:
+        raise ValueError(f"input must start with bits:, hex:, or file:, got {spec!r}")
+    if not data:
+        raise ValueError(f"input {spec!r} is empty")
+    return qhash.to_bitstring(data, 8 * len(data))
 
 
 def _parse_noise(spec: str) -> NoiseModel:
@@ -95,9 +93,7 @@ def _cmd_hash(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    sizes = [_decimal(s, "--batch-sizes") for s in args.batch_sizes.split(",") if s]
-    if not sizes:
-        raise ValueError("no batch sizes given")
+    sizes = [_decimal(s, "--batch-sizes") for s in args.batch_sizes.split(",")]
     cfg = _hash_config(args)
     results = metrics.batch_sweep(cfg, sizes, _decimal(args.input_width, "--input-width"))
     summary = metrics.summary_csv([report for _, report in results])

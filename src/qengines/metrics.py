@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .qhash import HashConfig, hash_batch
-from .sim import _bits, _integer, _real
+from .sim import MAX_QUBITS, _bits, _integer, _real
 
 _EPS = 1e-16
 _MAX_ITER = 10_000
@@ -50,6 +50,7 @@ class MetricsReport:
 
 def bucket_histogram(hashes: Sequence[str], n_qubits: int) -> BucketHistogram:
     """Tally hash bitstrings into 2^n buckets indexed by basis value."""
+    n_qubits = _integer(n_qubits, "n_qubits", 1, MAX_QUBITS)
     if isinstance(hashes, str):
         raise ValueError("hashes must be a list of bitstrings, got a str")
     counts = np.zeros(1 << n_qubits, dtype=np.int64)

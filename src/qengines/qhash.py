@@ -11,6 +11,7 @@ outcome, printed most significant qubit first.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -69,6 +70,14 @@ class HashConfig:
         if self.mode not in (MODE_EXACT, MODE_SAMPLED):
             raise ValueError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
 
+    @functools.cached_property
+    def _gates(self) -> tuple[tuple[tuple[tuple[GateOp, GateOp], ...], ...], tuple[GateOp, ...]]:
+        # Built on the first hash, per object: a config equal to this one may
+        # hold a -0.0 angle where this one holds 0.0, and rx keeps the sign.
+        rows = tuple(tuple((rx(phi, q), rx(theta, q)) for q in range(self.n_qubits))
+                     for theta, phi in ((self.theta1, self.phi1), (self.theta2, self.phi2)))
+        return rows, tuple(entangler_ops(self.template, self.n_qubits))
+
 
 def to_bitstring(data: bytes | int, width: int) -> str:
     """Convert bytes or a non-negative integer to a fixed-width bitstring.
@@ -114,28 +123,24 @@ def entangler_ops(template: str, n_qubits: int) -> list[GateOp]:
     return ops
 
 
-def _blocks(input_bits: str, n_qubits: int) -> list[str]:
-    if not _bits(input_bits, "input bits"):
-        raise ValueError("input bitstring is empty")
-    padded = input_bits + "0" * ((-len(input_bits)) % n_qubits)
-    return [padded[k:k + n_qubits] for k in range(0, len(padded), n_qubits)]
-
-
 def build_hash_circuit(input_bits: str, cfg: HashConfig) -> Circuit:
     """Build the encoding circuit for a bitstring.
 
     The input is zero-padded on the right to a multiple of n_qubits and
     split into blocks; block k is one RX layer (angles from theta1/phi1
     for block 0, theta2/phi2 afterwards) followed by the template's
-    entangler block.
+    entangler block.  The gates are the config's own, derived on its first
+    hash, so a circuit is put together without building a gate.
     """
+    if not _bits(input_bits, "input bits"):
+        raise ValueError("input bitstring is empty")
     n = cfg.n_qubits
+    rows, entangler = cfg._gates
+    padded = input_bits + "0" * ((-len(input_bits)) % n)
     ops: list[GateOp] = []
-    entangler = entangler_ops(cfg.template, n)
-    for k, block in enumerate(_blocks(input_bits, n)):
-        theta, phi = (cfg.theta1, cfg.phi1) if k == 0 else (cfg.theta2, cfg.phi2)
-        for j, bit in enumerate(block):
-            ops.append(rx(theta if bit == "1" else phi, n - 1 - j))
+    for k in range(0, len(padded), n):
+        row = rows[k > 0]  # [qubit][bit]
+        ops += [row[n - 1 - j][bit == "1"] for j, bit in enumerate(padded[k:k + n])]
         ops += entangler
     return Circuit(n, tuple(ops))
 

@@ -81,8 +81,6 @@ def _real(value: object, name: str, lo: float | None = None,
     NumPy ints and floats pass; bools, strings, None, NaN and infinities do
     not; lo and hi are inclusive bounds.
     """
-    if type(value) is float and lo is hi is None and math.isfinite(value):
-        return value  # the fast path: every RX gate of a hash comes here
     if type(value) is bool or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
@@ -144,9 +142,7 @@ class GateOp:
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError(f"{self.kind} qubits must be distinct: {self.qubits}")
         if self.kind == "RX":
-            angle = _real(self.angle, "RX angle")
-            if angle is not self.angle:  # skipped for a plain float, as in every hash
-                object.__setattr__(self, "angle", angle)
+            object.__setattr__(self, "angle", _real(self.angle, "RX angle"))
         elif self.angle is not None:
             raise ValueError(f"{self.kind} takes no angle")
 

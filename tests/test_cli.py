@@ -482,6 +482,10 @@ REJECTED_NUMBERS = {
     "noise_underscore": ([*HASH, "--noise", "1_0e-2,0"], 3, "--noise"),
     "noise_space": ([*HASH, "--noise", "0.1, 0"], 3, "--noise"),
     "gates_non_ascii_digit": (["keygen", "--gates", "\u0663"], 3, "--gates"),
+    "batch_sizes_empty_item": (["eval", "--template", "PQC4", "--batch-sizes", "2,,3"], 3,
+                               "--batch-sizes"),
+    "batch_sizes_trailing_comma": (["eval", "--template", "PQC4", "--batch-sizes", "4,"], 3,
+                                   "--batch-sizes"),
     "input_width_float": (["eval", "--template", "PQC4", "--batch-sizes", "4",
                            "--input-width", "4.0"], 3, "input_width must be an integer"),
     "encrypt_rng_seed": (["encrypt", "--in", "bits:0110", "--seed", "{seed}",
@@ -523,6 +527,12 @@ def test_rejected_input_keeps_its_exit_code(argv, pbm, code, err, workspace, cap
     assert not out.exists()
     if err is not None:
         assert err in capsys.readouterr().err
+
+
+def test_empty_hex_input_is_named_as_the_input(capsys):
+    assert main(["hash", "--input", "hex:", "--template", "PQC1"]) == 3
+    err = capsys.readouterr().err
+    assert "empty" in err and "width" not in err
 
 
 def test_out_of_range_number_gives_a_short_message(capsys):

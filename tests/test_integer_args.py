@@ -14,6 +14,7 @@ from qengines import (
     HashConfig,
     NoiseModel,
     StateVector,
+    bucket_histogram,
     chi_squared_survival,
     evaluate_batch,
     keygen,
@@ -65,6 +66,7 @@ SITES = [
      "batch size", 3, (0,)),
     ("evaluate_batch.input_width", lambda v: evaluate_batch(HashConfig("PQC4"), 2, v),
      "input_width", 4, (0,)),
+    ("bucket_histogram.n_qubits", lambda v: bucket_histogram([], v), "n_qubits", 4, (0, 9)),
 ]
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qengines import (
     HashConfig,
@@ -15,6 +17,8 @@ from qengines import (
     hash_batch,
     hash_bits,
     noisy_sample,
+    qhash,
+    sim,
     to_bitstring,
 )
 
@@ -129,6 +133,56 @@ def test_no_noise_has_one_spelling():
 def test_non_finite_angle_rejected(field, value):
     with pytest.raises(ValueError, match=field):
         HashConfig("PQC3", **{field: value})
+
+
+# ---------------------------------------------------------------- per-config gates
+
+def test_gates_are_derived_once_per_config(monkeypatch):
+    calls = []
+
+    def counting_rx(theta, q):
+        calls.append(q)
+        return sim.rx(theta, q)
+
+    monkeypatch.setattr(qhash, "rx", counting_rx)
+    rng = np.random.default_rng(18)
+    inputs = ["".join(map(str, rng.integers(0, 2, 64))) for _ in range(20)]
+    cfg = HashConfig("PQC3", 4)
+    hash_batch(inputs, cfg)
+    first = len(calls)
+    assert first <= 16  # 4n: one gate per qubit, bit value and row
+    hash_batch(inputs, cfg)
+    assert len(calls) == first
+
+
+ANGLE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(template=st.sampled_from(TEMPLATES), n=st.integers(1, 8),
+       angles=st.tuples(ANGLE, ANGLE, ANGLE, ANGLE),
+       bits=st.text("01", min_size=1, max_size=64))
+def test_circuit_matches_longhand_build(template, n, angles, bits):
+    padded = bits + "0" * (-len(bits) % n)
+    expected = []
+    for k in range(0, len(padded), n):
+        theta, phi = angles[:2] if k == 0 else angles[2:]
+        expected += [sim.rx(theta if bit == "1" else phi, n - 1 - j)
+                     for j, bit in enumerate(padded[k:k + n])]
+        expected += entangler_ops(template, n)
+    ops = build_hash_circuit(bits, HashConfig(template, n, *angles)).ops
+    assert list(ops) == expected
+    signs = [[math.copysign(1, op.angle) for op in circuit if op.kind == "RX"]
+             for circuit in (ops, expected)]
+    assert signs[0] == signs[1]
+
+
+def test_equal_configs_keep_their_own_signed_zero():
+    plus, minus = HashConfig("PQC4", 1, phi1=0.0), HashConfig("PQC4", 1, phi1=-0.0)
+    assert plus == minus
+    hash_bits("0", plus)
+    (op,) = build_hash_circuit("0", minus).ops
+    assert math.copysign(1, op.angle) == -1.0
 
 
 # ---------------------------------------------------------------- hash values
