@@ -22,15 +22,18 @@ from .sim import (
     Circuit,
     GateOp,
     NoiseModel,
+    StateVector,
     _bits,
+    _evolve,
     _integer,
+    _noise_model,
     _real,
     cx,
     format_bits,
+    gate_matrix,
     h,
     noisy_sample,
     probabilities,
-    run_circuit,
     rx,
 )
 
@@ -69,14 +72,51 @@ class HashConfig:
             object.__setattr__(self, name, _real(getattr(self, name), name))
         if self.mode not in (MODE_EXACT, MODE_SAMPLED):
             raise ValueError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
+        _noise_model(self.noise)
 
     @functools.cached_property
-    def _gates(self) -> tuple[tuple[tuple[tuple[GateOp, GateOp], ...], ...], tuple[GateOp, ...]]:
-        # Built on the first hash, per object: a config equal to this one may
-        # hold a -0.0 angle where this one holds 0.0, and rx keeps the sign.
+    def _gates(self) -> tuple:
+        # (RX gates [row][qubit][bit], entangler, first-block table), built on
+        # the first hash, per object: a config equal to this one may hold a
+        # -0.0 angle where this one holds 0.0, and rx keeps the sign.
         rows = tuple(tuple((rx(phi, q), rx(theta, q)) for q in range(self.n_qubits))
                      for theta, phi in ((self.theta1, self.phi1), (self.theta2, self.phi2)))
-        return rows, tuple(entangler_ops(self.template, self.n_qubits))
+        entangler = tuple(entangler_ops(self.template, self.n_qubits))
+        return rows, entangler, _first_block(rows[0], entangler, self.n_qubits)
+
+
+def _first_block(row, entangler, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The state after block 0 for every block value, as (hi, lo, inv).
+
+    Block 0 acts on |0...0>, so after its RX layer, and PQC1's H layer, each
+    qubit holds its own 2-vector and the state is their Kronecker product;
+    the CX part of the entangler only permutes basis states.  hi[v] is that
+    product over the top n - n // 2 qubits at their bit values v, lo[v] over
+    the bottom n // 2, and inv is the inverse of the CX permutation, so block
+    value b leaves the state outer(hi[b // len(lo)], lo[b % len(lo)]).ravel()[inv].
+    """
+    vectors = [np.array([gate_matrix(g)[:, 0] for g in gates]) for gates in row]  # [bit, amp]
+    for op in entangler:
+        if op.kind == "H":  # the entangler's H layer comes before its CX gates
+            (q,) = op.qubits
+            vectors[q] = vectors[q] @ gate_matrix(op).T
+
+    def product(qubits: range) -> np.ndarray:
+        table = np.ones((1, 1), dtype=complex)  # [value, amplitude], top qubit first
+        for q in reversed(qubits):
+            table = (table[:, None, :, None] * vectors[q][None, :, None, :]
+                     ).reshape(2 * len(table), -1)
+        return table
+
+    inv = np.arange(1 << n)
+    for op in reversed(entangler):  # each CX is its own inverse
+        if op.kind == "CX":
+            control, target = op.qubits
+            inv ^= ((inv >> control) & 1) << target
+    tables = product(range(n // 2, n)), product(range(n // 2)), inv
+    for table in tables:  # shared by every hash of the config
+        table.setflags(write=False)
+    return tables
 
 
 def to_bitstring(data: bytes | int, width: int) -> str:
@@ -123,6 +163,22 @@ def entangler_ops(template: str, n_qubits: int) -> list[GateOp]:
     return ops
 
 
+def _block_ops(input_bits: str, cfg: HashConfig, first: int) -> list[GateOp]:
+    # Check the input, zero-pad it on the right to whole blocks and return the
+    # gates of its blocks from block `first` on: RX layer, then entangler.
+    if not _bits(input_bits, "input bits"):
+        raise ValueError("input bitstring is empty")
+    n = cfg.n_qubits
+    rows, entangler, _ = cfg._gates
+    padded = input_bits + "0" * ((-len(input_bits)) % n)
+    ops: list[GateOp] = []
+    for k in range(first * n, len(padded), n):
+        row = rows[k > 0]  # [qubit][bit]
+        ops += [row[n - 1 - j][bit == "1"] for j, bit in enumerate(padded[k:k + n])]
+        ops += entangler
+    return ops
+
+
 def build_hash_circuit(input_bits: str, cfg: HashConfig) -> Circuit:
     """Build the encoding circuit for a bitstring.
 
@@ -132,17 +188,16 @@ def build_hash_circuit(input_bits: str, cfg: HashConfig) -> Circuit:
     entangler block.  The gates are the config's own, derived on its first
     hash, so a circuit is put together without building a gate.
     """
-    if not _bits(input_bits, "input bits"):
-        raise ValueError("input bitstring is empty")
+    return Circuit(cfg.n_qubits, tuple(_block_ops(input_bits, cfg, 0)))
+
+
+def _exact_state(input_bits: str, cfg: HashConfig) -> StateVector:
+    # Block 0 from the config's table, the later blocks through the gate kernel.
     n = cfg.n_qubits
-    rows, entangler = cfg._gates
-    padded = input_bits + "0" * ((-len(input_bits)) % n)
-    ops: list[GateOp] = []
-    for k in range(0, len(padded), n):
-        row = rows[k > 0]  # [qubit][bit]
-        ops += [row[n - 1 - j][bit == "1"] for j, bit in enumerate(padded[k:k + n])]
-        ops += entangler
-    return Circuit(n, tuple(ops))
+    later = _block_ops(input_bits, cfg, 1)
+    hi, lo, inv = cfg._gates[2]
+    top, bottom = divmod(int(input_bits[:n].ljust(n, "0"), 2), len(lo))
+    return _evolve(StateVector(n, np.outer(hi[top], lo[bottom]).ravel()[inv]), later)
 
 
 def hash_bits(input_bits: str, cfg: HashConfig) -> str:
@@ -152,12 +207,17 @@ def hash_bits(input_bits: str, cfg: HashConfig) -> str:
     noisy shot count in sampled mode.  The hash is the smallest basis index
     whose weight is within 1e-12 of the maximum, so ties break toward it
     and rounding noise does not pick the winner.
+
+    Exact mode builds no circuit: the state after the first block is read
+    from the config's first-block table (see _first_block), and only the
+    later blocks run gates, through run_circuit's kernel.  Sampled mode
+    samples build_hash_circuit's circuit.
     """
-    circuit = build_hash_circuit(input_bits, cfg)
     if cfg.mode == MODE_EXACT:
-        w = probabilities(run_circuit(circuit, 0))
+        w = probabilities(_exact_state(input_bits, cfg))
     else:
-        counts = noisy_sample(circuit, 0, cfg.shots, cfg.noise, cfg.rng_seed)
+        counts = noisy_sample(build_hash_circuit(input_bits, cfg), 0, cfg.shots,
+                              cfg.noise, cfg.rng_seed)
         w = np.bincount(list(counts), weights=list(counts.values()))
     return format_bits(int((w >= w.max() - _TIE_TOLERANCE).argmax()), cfg.n_qubits)
 

@@ -208,6 +208,13 @@ class NoiseModel:
             object.__setattr__(self, name, _real(getattr(self, name), name, 0, 1))
 
 
+def _noise_model(noise: object) -> NoiseModel:
+    """Return a NoiseModel argument, or raise TypeError naming what came instead."""
+    if not isinstance(noise, NoiseModel):
+        raise TypeError(f"noise must be a NoiseModel, got {type(noise).__name__}")
+    return noise
+
+
 @dataclass
 class StateVector:
     """2^n complex amplitudes of an n-qubit register."""
@@ -276,12 +283,16 @@ def apply_gate(s: StateVector, g: GateOp) -> StateVector:
     return s
 
 
-def run_circuit(c: Circuit, initial: int = 0) -> StateVector:
-    """Apply every op of the circuit, in order, to the basis state |initial>."""
-    s = StateVector.basis(c.n_qubits, initial)
-    for op in c.ops:
+def _evolve(s: StateVector, ops) -> StateVector:
+    # The one gate loop: apply each op, in order, in place.
+    for op in ops:
         apply_gate(s, op)
     return s
+
+
+def run_circuit(c: Circuit, initial: int = 0) -> StateVector:
+    """Apply every op of the circuit, in order, to the basis state |initial>."""
+    return _evolve(StateVector.basis(c.n_qubits, initial), c.ops)
 
 
 def probabilities(s: StateVector) -> np.ndarray:
@@ -375,8 +386,7 @@ def noisy_sample(c: Circuit, initial: int, shots: int, noise: NoiseModel,
     flipped with probability readout_flip_q.  Deterministic per rng_seed.
     """
     shots = _integer(shots, "shots", 1)
-    if not isinstance(noise, NoiseModel):
-        raise TypeError(f"noise must be a NoiseModel, got {type(noise).__name__}")
+    _noise_model(noise)
     rng = np.random.default_rng(_integer(rng_seed, "rng_seed", 0))
     p = noise.depolarizing_p
     runs, per_run = (shots, 1) if p > 0.0 else (1, shots)

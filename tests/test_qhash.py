@@ -123,9 +123,10 @@ def test_bad_config_rejected():
 
 def test_no_noise_has_one_spelling():
     assert HashConfig("PQC3").noise == NoiseModel()
-    cfg = HashConfig("PQC3", mode="sampled", shots=16, noise=None)
-    with pytest.raises(TypeError, match="NoiseModel"):
-        hash_bits("0110", cfg)
+    # None is no second spelling: the config refuses it when built, in either mode.
+    for mode in ("exact", "sampled"):
+        with pytest.raises(TypeError, match="NoiseModel"):
+            HashConfig("PQC3", mode=mode, shots=16, noise=None)
 
 
 @pytest.mark.parametrize("field", ["theta1", "phi1", "theta2", "phi2"])
@@ -183,6 +184,112 @@ def test_equal_configs_keep_their_own_signed_zero():
     hash_bits("0", plus)
     (op,) = build_hash_circuit("0", minus).ops
     assert math.copysign(1, op.angle) == -1.0
+
+
+# ---------------------------------------------------------------- first-block table
+
+def _tie_rule(weights, n):
+    # The smallest index whose weight is within 1e-12 of the maximum.
+    return sim.format_bits(int(np.flatnonzero(weights >= weights.max() - 1e-12)[0]), n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(template=st.sampled_from(TEMPLATES), n=st.integers(1, 8),
+       angles=st.tuples(ANGLE, ANGLE, ANGLE, ANGLE),
+       bits=st.text("01", min_size=1, max_size=64))
+def test_exact_hash_matches_the_gate_by_gate_circuit(template, n, angles, bits):
+    cfg = HashConfig(template, n, *angles)
+    state = sim.run_circuit(build_hash_circuit(bits, cfg))
+    assert hash_bits(bits, cfg) == _tie_rule(sim.probabilities(state), n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(template=st.sampled_from(TEMPLATES), n=st.integers(1, sim.UNITARY_MAX_QUBITS),
+       angles=st.tuples(ANGLE, ANGLE, ANGLE, ANGLE),
+       bits=st.text("01", min_size=1, max_size=64))
+def test_exact_hash_matches_the_circuit_unitary(template, n, angles, bits):
+    cfg = HashConfig(template, n, *angles)
+    column = circuit_unitary(build_hash_circuit(bits, cfg))[:, 0]
+    assert hash_bits(bits, cfg) == _tie_rule(np.abs(column) ** 2, n)
+
+
+FIRST_BLOCK_ANGLES = [(math.pi, 0.0, math.pi, 0.0), (math.pi / 2, -0.0, math.pi, 0.0),
+                      (0.0, 0.0, 0.0, 0.0), (0.7, 1.9, 2.3, 0.1)]
+
+
+@pytest.mark.parametrize("angles", FIRST_BLOCK_ANGLES)
+@pytest.mark.parametrize("template", TEMPLATES)
+def test_first_block_state_matches_its_circuit(template, angles):
+    for n in range(1, 9):
+        cfg = HashConfig(template, n, *angles)
+        for value in range(1 << n):
+            bits = format(value, f"0{n}b")
+            table = qhash._exact_state(bits, cfg).amplitudes
+            circuit = sim.run_circuit(build_hash_circuit(bits, cfg)).amplitudes
+            np.testing.assert_allclose(table, circuit, rtol=0, atol=1e-12)
+
+
+@pytest.fixture
+def gates_applied(monkeypatch):
+    calls = []
+
+    def counting_apply_matrix(s, mat, qubits):
+        calls.append(qubits)
+        return apply_matrix(s, mat, qubits)
+
+    apply_matrix = sim._apply_matrix
+    monkeypatch.setattr(sim, "_apply_matrix", counting_apply_matrix)
+    return calls
+
+
+@pytest.mark.parametrize("template", TEMPLATES)
+@pytest.mark.parametrize("n", [1, 4, 8])
+def test_one_block_input_applies_no_gate(template, n, gates_applied):
+    cfg = HashConfig(template, n)
+    hash_bits("1" * n, cfg)
+    hash_bits("1", cfg)  # padded to one block
+    assert gates_applied == []
+
+
+@pytest.mark.parametrize("template", TEMPLATES)
+@pytest.mark.parametrize("n", [1, 3, 4, 8])
+@pytest.mark.parametrize("blocks", [2, 5])
+def test_later_blocks_apply_their_gates_only(template, n, blocks, gates_applied):
+    hash_bits("10" * (n * blocks // 2) + "1" * (n * blocks % 2), HashConfig(template, n))
+    assert len(gates_applied) == (blocks - 1) * (n + len(entangler_ops(template, n)))
+
+
+def test_first_block_table_is_built_once_per_config(monkeypatch):
+    built = []
+
+    def counting_first_block(*args):
+        built.append(args)
+        return first_block(*args)
+
+    first_block = qhash._first_block
+    monkeypatch.setattr(qhash, "_first_block", counting_first_block)
+    cfg = HashConfig("PQC1", 4)
+    hash_batch([format(v, "08b") for v in range(256)], cfg)
+    assert len(built) == 1
+    hash_bits("0110", HashConfig("PQC1", 4))  # an equal config builds its own
+    assert len(built) == 2
+
+
+def test_equal_configs_keep_their_own_first_block_table(monkeypatch):
+    # Each table is built from its own config's gates, whose signed zeros differ.
+    signs = []
+
+    def recording_first_block(row, entangler, n):
+        signs.append(math.copysign(1, row[0][0].angle))  # qubit 0, bit 0: phi1
+        return first_block(row, entangler, n)
+
+    first_block = qhash._first_block
+    monkeypatch.setattr(qhash, "_first_block", recording_first_block)
+    plus, minus = HashConfig("PQC4", 1, phi1=0.0), HashConfig("PQC4", 1, phi1=-0.0)
+    hash_bits("0", plus)
+    hash_bits("0", minus)
+    assert signs == [1.0, -1.0]
+    assert plus._gates[2] is not minus._gates[2]
 
 
 # ---------------------------------------------------------------- hash values

@@ -19,6 +19,7 @@ import qengines
 from qengines import cli
 from qengines import (
     CipherText,
+    Circuit,
     GateOp,
     HashConfig,
     NoiseModel,
@@ -31,9 +32,11 @@ from qengines import (
     hash_batch,
     hash_bits,
     keygen,
+    noisy_sample,
     read_pbm,
     regularized_gamma_q,
     rx,
+    x,
 )
 from qengines.sim import _decimal
 
@@ -92,6 +95,24 @@ def test_integers_kept_as_plain_float():
     assert type(rx(np.int64(1), 0).angle) is float
     assert type(HashConfig("PQC3", phi1=0).phi1) is float
     assert NoiseModel(np.uint8(1), 0) == NoiseModel(1.0, 0.0)
+
+
+# (site, call with the noise model under test): sim._noise_model owns the rule.
+NOISE_SITES = [
+    ("noisy_sample.noise", lambda v: noisy_sample(Circuit(1, (x(0),)), 0, 10, v, 0)),
+    ("HashConfig.noise-exact", lambda v: HashConfig("PQC3", noise=v)),
+    ("HashConfig.noise-sampled", lambda v: HashConfig("PQC3", mode="sampled", noise=v)),
+]
+
+
+@pytest.mark.parametrize("call, bad", [
+    pytest.param(call, bad, id=f"{site}-{bad!r}")
+    for site, call in NOISE_SITES for bad in ("x", None, 0.02, (0.02, 0.02))
+])
+def test_noise_argument_rejected(call, bad):
+    message = f"noise must be a NoiseModel, got {type(bad).__name__}"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        call(bad)
 
 
 # (site, call with the 0/1 string under test, name in the message, a valid value)
