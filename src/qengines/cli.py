@@ -24,12 +24,17 @@ EXIT_VALIDATION = 3
 EXIT_IO = 4
 
 
-def _write_atomic(path: str | Path, data: bytes) -> None:
-    # Write to a sibling temp file, then rename into place.
+def _write_atomic(path: str | Path, data: bytes, private: bool = False) -> None:
+    # Write to a sibling temp file, then rename into place.  mkstemp makes it
+    # 0600, which a private file keeps; any other gets the umask's default mode.
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name)
     try:
         with os.fdopen(fd, "wb") as fh:
+            if not private:
+                umask = os.umask(0o077)  # read by setting it, then put back at once
+                os.umask(umask)
+                os.chmod(tmp, 0o666 & ~umask)
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
@@ -38,9 +43,9 @@ def _write_atomic(path: str | Path, data: bytes) -> None:
         raise
 
 
-def _emit(text: str, output: str | Path | None) -> None:
+def _emit(text: str, output: str | Path | None, private: bool = False) -> None:
     if output:
-        _write_atomic(output, text.encode("ascii"))
+        _write_atomic(output, text.encode("ascii"), private)
     else:
         sys.stdout.write(text)
 
@@ -111,7 +116,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_keygen(args: argparse.Namespace) -> int:
     seed = qaes.keygen(_decimal(args.rng_seed, "--rng-seed"), _decimal(args.gates, "--gates"))
-    _emit(codec.seed_to_json(seed), args.output or "seed.json")
+    _emit(codec.seed_to_json(seed), args.output or "seed.json", private=True)
     return EXIT_OK
 
 

@@ -26,6 +26,7 @@ from .sim import (
     StateVector,
     _bits,
     _integer,
+    _short,
     cx,
     h,
     probabilities,
@@ -39,6 +40,10 @@ CLASSICAL_GATE_KINDS = frozenset({"X", "CX", "CCX", "SWAP"})
 
 # The only seed format there is; keygen writes it and validate_seed requires it.
 _SEED_VERSION = 1
+
+# The most mix gates a seed may hold: keygen's time and the seed's size grow
+# with the count, and 1024 gates take about 0.03 s on a 2-CPU machine.
+_MAX_MIX_GATES = 1024
 
 # H on reference qubits 4-7, then CX from each onto chunk qubit 0-3: sum_v |v>|v> / 4.
 _REFERENCE_PAIRS = (tuple(h(CHUNK_BITS + q) for q in range(CHUNK_BITS))
@@ -256,10 +261,13 @@ def classical_oracle_encrypt(bits: str, seed: SeedSpec) -> str:
 def keygen(rng_seed: int, n_mix_gates: int = 12) -> SeedSpec:
     """Generate a seed: a random involution table and random classical gates.
 
-    Deterministic per rng_seed.  Regenerates if both the table and the
-    derived mix action happen to be identity.
+    Deterministic per rng_seed; n_mix_gates is at most 1024.  Regenerates
+    if both the table and the derived mix action happen to be identity.
     """
     n_mix_gates = _integer(n_mix_gates, "n_mix_gates", 0)
+    if n_mix_gates > _MAX_MIX_GATES:
+        raise ValueError(f"n_mix_gates must be <= {_MAX_MIX_GATES}, "
+                         f"got {_short(n_mix_gates)}")
     rng = np.random.default_rng(_integer(rng_seed, "rng_seed", 0))
     kinds = sorted(CLASSICAL_GATE_KINDS)
     while True:

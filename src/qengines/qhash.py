@@ -24,6 +24,7 @@ from .sim import (
     NoiseModel,
     StateVector,
     _bits,
+    _draw,
     _evolve,
     _integer,
     _noise_model,
@@ -208,17 +209,19 @@ def hash_bits(input_bits: str, cfg: HashConfig) -> str:
     whose weight is within 1e-12 of the maximum, so ties break toward it
     and rounding noise does not pick the winner.
 
-    Exact mode builds no circuit: the state after the first block is read
-    from the config's first-block table (see _first_block), and only the
-    later blocks run gates, through run_circuit's kernel.  Sampled mode
-    samples build_hash_circuit's circuit.
+    Block 0's state comes from the config's table (see _first_block) and later
+    blocks run through _evolve; sampled mode draws its shots from that state,
+    and only depolarizing noise samples build_hash_circuit's circuit instead.
     """
-    if cfg.mode == MODE_EXACT:
-        w = probabilities(_exact_state(input_bits, cfg))
-    else:
+    if cfg.mode == MODE_SAMPLED and cfg.noise.depolarizing_p > 0.0:
         counts = noisy_sample(build_hash_circuit(input_bits, cfg), 0, cfg.shots,
                               cfg.noise, cfg.rng_seed)
         w = np.bincount(list(counts), weights=list(counts.values()))
+    else:
+        w = probabilities(_exact_state(input_bits, cfg))
+        if cfg.mode == MODE_SAMPLED:
+            rng = np.random.default_rng(cfg.rng_seed)
+            w = np.bincount(_draw(w, cfg.shots, cfg.noise.readout_flip_q, rng))
     return format_bits(int((w >= w.max() - _TIE_TOLERANCE).argmax()), cfg.n_qubits)
 
 

@@ -304,11 +304,14 @@ def _draw(probs: np.ndarray, shots: int, readout_flip_q: float,
           rng: np.random.Generator) -> np.ndarray:
     """Draw shot outcomes and flip each bit with probability readout_flip_q.
 
-    Each shot takes one uniform for its outcome, then one per bit for its
-    flips even at q = 0, so the draws that follow do not depend on q.
+    Each shot takes one uniform for its outcome, read through the cumulative
+    distribution, then one per bit for its flips even at q = 0, so the draws
+    that follow do not depend on q.  It draws with rng.random alone, never
+    Generator.choice, whose algorithm NumPy may change between releases.
     """
     n = (len(probs) - 1).bit_length()
-    outcomes = rng.choice(len(probs), size=shots, p=probs / probs.sum())
+    cdf = np.cumsum(probs / probs.sum())
+    outcomes = (cdf / cdf[-1]).searchsorted(rng.random(shots), side="right")
     flips = rng.random((shots, n)) < readout_flip_q
     return outcomes ^ (flips @ (1 << np.arange(n)))
 
@@ -382,23 +385,24 @@ def noisy_sample(c: Circuit, initial: int, shots: int, noise: NoiseModel,
 
     After every gate, every touched qubit suffers a uniformly random Pauli
     with probability depolarizing_p, so each shot is its own run; with p = 0
-    one noiseless run serves every shot.  Each outcome then has each bit
+    one run_circuit serves every shot.  Each outcome then has each bit
     flipped with probability readout_flip_q.  Deterministic per rng_seed.
     """
     shots = _integer(shots, "shots", 1)
     _noise_model(noise)
     rng = np.random.default_rng(_integer(rng_seed, "rng_seed", 0))
-    p = noise.depolarizing_p
-    runs, per_run = (shots, 1) if p > 0.0 else (1, shots)
+    p, flip_q = noise.depolarizing_p, noise.readout_flip_q
+    if p == 0.0:
+        return _counts(_draw(probabilities(run_circuit(c, initial)), shots, flip_q, rng))
     outcomes = []
-    for _ in range(runs):
+    for _ in range(shots):
         s = StateVector.basis(c.n_qubits, initial)
         for op in c.ops:
             apply_gate(s, op)
             for q in op.qubits:
-                if p > 0.0 and rng.random() < p:
+                if rng.random() < p:
                     _apply_matrix(s, _PAULIS[rng.integers(0, 3)], (q,))
-        outcomes.append(_draw(probabilities(s), per_run, noise.readout_flip_q, rng))
+        outcomes.append(_draw(probabilities(s), 1, flip_q, rng))
     return _counts(np.concatenate(outcomes))
 
 

@@ -2,8 +2,11 @@
 
 import json
 import math
+import os
+import stat
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -104,6 +107,16 @@ def test_eval_writes_summary_and_histograms(tmp_path, capsys):
         hist = (tmp_path / f"report_hist_{size}.csv").read_text().strip().split("\n")
         assert hist[0] == "bucket,count"
         assert sum(int(line.split(",")[1]) for line in hist[1:]) == size
+
+
+@pytest.mark.parametrize("output, hist_name", [("rep", "rep_hist_{}.csv"),
+                                               ("r.txt", "r_hist_{}.txt")])
+def test_eval_histogram_files_keep_the_output_suffix(output, hist_name, tmp_path):
+    # Each histogram file takes the output's suffix, or .csv if it has none.
+    assert main(["eval", "--template", "PQC4", "--batch-sizes", "3,5",
+                 "--output", str(tmp_path / output)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [output, hist_name.format(3), hist_name.format(5)])
 
 
 def test_eval_rotation_only_template_does_not_undercut_entangled_one(tmp_path):
@@ -415,12 +428,59 @@ def test_bad_dims_is_validation_error(workspace, capsys):
                  "--dims", "7x9"]) == 3
 
 
+
+def test_dims_of_three_sizes_is_validation_error(workspace, capsys):
+    tmp_path, img_path, seed_path = workspace
+    cipher_path = tmp_path / "cipher.json"
+    main(["encrypt", "--in", str(img_path), "--seed", str(seed_path),
+          "--output", str(cipher_path)])
+    capsys.readouterr()
+    assert main(["decrypt", "--in", str(cipher_path), "--seed", str(seed_path),
+                 "--dims", "2x2x2"]) == 3
+    assert "bad --dims '2x2x2'" in capsys.readouterr().err
+
+
+def test_output_files_take_the_umask_and_the_seed_stays_private(workspace):
+    tmp_path, img_path, _ = workspace
+    old_umask = os.umask(0o022)
+    try:
+        seed = tmp_path / "fresh_seed.json"
+        assert main(["keygen", "--output", str(seed)]) == 0
+        outputs = {"hash.txt": ["hash", "--input", "bits:1", "--template", "PQC4"],
+                   "report.csv": ["eval", "--template", "PQC4", "--batch-sizes", "3"],
+                   "c.json": ["encrypt", "--in", str(img_path), "--seed", str(seed),
+                              "--preview", str(tmp_path / "preview.pbm")],
+                   "plain.pbm": ["decrypt", "--in", str(tmp_path / "c.json"),
+                                 "--seed", str(seed), "--dims", "10x10"]}
+        for name, argv in outputs.items():
+            assert main([*argv, "--output", str(tmp_path / name)]) == 0
+    finally:
+        os.umask(old_umask)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes.pop("fresh_seed.json") == 0o600
+    del modes["a.pbm"], modes["seed.json"]  # written by the fixture
+    assert modes == dict.fromkeys(["hash.txt", "report.csv", "report_hist_3.csv",
+                                   "c.json", "preview.pbm", "plain.pbm"], 0o644)
+
+
 # ---------------------------------------------------------------- rejected input
 
 def test_keygen_negative_gate_count_is_validation_error(tmp_path, capsys):
     path = tmp_path / "seed.json"
     assert main(["keygen", "--gates", "-3", "--output", str(path)]) == 3
     assert "n_mix_gates must be >= 0" in capsys.readouterr().err
+    assert not path.exists()
+
+
+def test_keygen_huge_gate_count_is_rejected_before_any_work(tmp_path, capsys, monkeypatch):
+    def no_generator(seed):
+        raise AssertionError("keygen drew a generator for an uncapped gate count")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    path = tmp_path / "seed.json"
+    assert main(["keygen", "--gates", "99999999999999999999", "--output", str(path)]) == 3
+    assert ("n_mix_gates must be <= 1024, got an integer of 67 bits"
+            in capsys.readouterr().err)
     assert not path.exists()
 
 

@@ -59,7 +59,8 @@ SITES = [
     ("shift_chunk.nibble_at_2", lambda v: shift_chunk(v, 2), "nibble", 15, (-1,)),
     ("shift_chunk.position", lambda v: shift_chunk(1, v), "position", 5, (-1, 0)),
     ("keygen.rng_seed", lambda v: keygen(v), "rng_seed", 3, (-1,)),
-    ("keygen.n_mix_gates", lambda v: keygen(0, n_mix_gates=v), "n_mix_gates", 2, (-1,)),
+    ("keygen.n_mix_gates", lambda v: keygen(0, n_mix_gates=v), "n_mix_gates", 2,
+     (-1, 1025)),
     ("CipherText.orig_bit_len", lambda v: CipherText("0000", v), "orig_bit_len", 4, (-1, 5)),
     ("chi_squared_survival.df", lambda v: chi_squared_survival(1.0, v), "df", 3, (0,)),
     ("evaluate_batch.size", lambda v: evaluate_batch(HashConfig("PQC4"), v, 4),

@@ -68,6 +68,13 @@ def test_bucket_histogram_fields_must_agree():
         BucketHistogram(3, np.array([1, 2, 3, 4]), 10)
 
 
+
+def test_bucket_histogram_mismatch_names_the_count_it_needs():
+    with pytest.raises(ValueError, match="3-qubit histogram needs 8 counts summing to total 10"):
+        BucketHistogram(3, np.array([1, 2, 3, 4]), 10)
+
+
+
 # ---------------------------------------------------------------- collision rate
 
 def test_collision_rate_uniform_closed_form():
@@ -152,6 +159,11 @@ def test_gamma_q_domain():
     with pytest.raises(ValueError):
         regularized_gamma_q(1.0, -1.0)
     assert regularized_gamma_q(7.5, 0.0) == 1.0
+
+
+def test_gamma_q_rejects_a_zero():
+    with pytest.raises(ValueError, match="a must be positive, got 0.0"):
+        regularized_gamma_q(0, 1)
 
 
 def test_gamma_q_against_exponential_tail():

@@ -502,6 +502,26 @@ def test_keygen_runs_no_simulation(monkeypatch):
     assert calls == []
 
 
+def test_keygen_regenerates_an_identity_seed(monkeypatch):
+    # A generator whose first 16 draws are 0 pairs every nibble with itself;
+    # with no mix gates that seed is the identity, so keygen draws again.
+    expected = keygen(3, n_mix_gates=0)
+    real_default_rng = np.random.default_rng
+
+    class IdentityFirst:
+        def __init__(self, seed):
+            self.real, self.calls = real_default_rng(seed), 0
+
+        def integers(self, lo, hi):
+            self.calls += 1
+            return 0 if self.calls <= 16 else self.real.integers(lo, hi)
+
+    monkeypatch.setattr(np.random, "default_rng", IdentityFirst)
+    seed = keygen(3, n_mix_gates=0)
+    assert seed.sub_table != IDENTITY_TABLE
+    assert seed == expected  # the second round draws what an honest first would
+
+
 # ---------------------------------------------------------------- diffusion
 
 def test_cipher_differs_from_plaintext():

@@ -259,6 +259,32 @@ def test_later_blocks_apply_their_gates_only(template, n, blocks, gates_applied)
     assert len(gates_applied) == (blocks - 1) * (n + len(entangler_ops(template, n)))
 
 
+# Without depolarizing noise a sampled hash draws from the exact-mode state,
+# so it applies the same gates as an exact one.
+NOISELESS = [NoiseModel(), NoiseModel(0.0, 0.1)]
+
+
+@pytest.mark.parametrize("noise", NOISELESS, ids=["no_noise", "readout_only"])
+@pytest.mark.parametrize("template", TEMPLATES)
+@pytest.mark.parametrize("n", [1, 4, 8])
+def test_sampled_one_block_input_applies_no_gate(template, n, noise, gates_applied):
+    cfg = HashConfig(template, n, mode="sampled", shots=50, noise=noise)
+    hash_bits("1" * n, cfg)
+    hash_bits("1", cfg)  # padded to one block
+    assert gates_applied == []
+
+
+@pytest.mark.parametrize("noise", NOISELESS, ids=["no_noise", "readout_only"])
+@pytest.mark.parametrize("template", TEMPLATES)
+@pytest.mark.parametrize("n", [1, 3, 4, 8])
+@pytest.mark.parametrize("blocks", [2, 5])
+def test_sampled_later_blocks_apply_their_gates_only(template, n, blocks, noise,
+                                                     gates_applied):
+    cfg = HashConfig(template, n, mode="sampled", shots=50, noise=noise)
+    hash_bits("10" * (n * blocks // 2) + "1" * (n * blocks % 2), cfg)
+    assert len(gates_applied) == (blocks - 1) * (n + len(entangler_ops(template, n)))
+
+
 def test_first_block_table_is_built_once_per_config(monkeypatch):
     built = []
 
@@ -372,6 +398,22 @@ def test_entangled_templates_are_not_constant(template):
     assert len(values) >= 2
 
 
+def test_pqc1_is_constant_on_single_block_inputs():
+    # H after RX(a)|0> gives each qubit two amplitudes of equal magnitude at
+    # any angle, and the CX ring only permutes basis states: every outcome
+    # ties, and the tie rule reads 0...0.
+    rng = np.random.default_rng(17)
+    hashes = 0
+    for angles in rng.uniform(-2 * math.pi, 2 * math.pi, (8, 4)):
+        for n in range(1, 9):
+            cfg = HashConfig("PQC1", n, *angles)
+            for length in range(1, n + 1):
+                for value in range(1 << length):
+                    assert hash_bits(format(value, f"0{length}b"), cfg) == "0" * n
+                    hashes += 1
+    assert hashes == 8032
+
+
 def test_pqc4_equals_xor_of_halves():
     cfg = HashConfig("PQC4")
     for bits in ALL_8BIT:
@@ -439,6 +481,30 @@ def test_sampled_ties_break_to_smallest_index():
                     ties += len(tied) > 1
                     assert hash_bits(bits, cfg) == format(min(tied), "04b")
     assert ties > 0
+
+
+@pytest.mark.parametrize("q", [0.0, 0.1])
+@pytest.mark.parametrize("template", TEMPLATES)
+def test_noiseless_sampled_hash_matches_the_sampled_circuit(template, q):
+    # The exact-mode state and the gate-by-gate circuit give the same draws.
+    noise = NoiseModel(0.0, q)
+    for n in (1, 4, 8):
+        for angles in FIRST_BLOCK_ANGLES:
+            cfg = HashConfig(template, n, *angles, mode="sampled", shots=40,
+                             rng_seed=n, noise=noise)
+            for bits in ("1", "10" * n, "0111" * n):
+                counts = noisy_sample(build_hash_circuit(bits, cfg), 0, 40, noise, n)
+                best = max(counts.values())
+                expected = min(k for k, v in counts.items() if v == best)
+                assert hash_bits(bits, cfg) == sim.format_bits(expected, n)
+
+
+def test_default_rng_seed_is_zero():
+    assert HashConfig("PQC3").rng_seed == 0
+    noise = NoiseModel(0.0, 0.2)
+    default = HashConfig("PQC1", mode="sampled", shots=5, noise=noise)
+    zero = HashConfig("PQC1", mode="sampled", shots=5, rng_seed=0, noise=noise)
+    assert hash_batch(ALL_8BIT[:32], default) == hash_batch(ALL_8BIT[:32], zero)
 
 
 def test_sampled_mode_noiseless_matches_exact():
